@@ -20,7 +20,7 @@ import numpy as np
 
 from .filters import FourierBasis, SmoothnessBounds, bounds_from_coefficients, image_bounds, init_coefficients
 from .grids import GroupSpec, PlanarImage, act_on_feature_map, relative_difference, rotate_image
-from .layers import Lift, NetworkSpec, OrientationPool, _conv_fan_in, forward, make_sweep_net
+from .layers import Lift, NetworkSpec, OrientationPool, forward, make_sweep_net
 from .synthetic import ring_stack, sample_field, synthetic_field
 
 SWEEP_GROUP_ORDERS = (1, 2, 4, 8, 12, 24)
@@ -132,7 +132,7 @@ def bound_inputs_for(net: NetworkSpec, images: Sequence[PlanarImage]) -> BoundIn
     layer_bounds = []
     for layer in convs:
         sb = bounds_from_coefficients(layer.basis, layer.coeffs)
-        layer_bounds.append(LayerBounds(_conv_fan_in(layer, t), sb.F, sb.G, sb.H))
+        layer_bounds.append(LayerBounds(layer.fan_in, sb.F, sb.G, sb.H))
     img_sups = SmoothnessBounds(0.0, 0.0, 0.0)
     for img in images:
         sb = image_bounds(img)

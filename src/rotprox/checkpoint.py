@@ -16,18 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import FourierBasis
 from .grids import GroupSpec
-from .layers import (
-    Bias,
-    GroupConv,
-    Lift,
-    NetworkSpec,
-    OrientationPool,
-    PlainConv,
-    ReLU,
-    ResidualAdd,
-)
+from .layers import LAYER_KINDS, NetworkSpec, parameters
 
 MAGIC = b"EQCK"
 VERSION = 1
@@ -37,105 +27,23 @@ class ChecksumError(ValueError):
     """Stored CRC32 does not match the file contents."""
 
 
-def _layer_header(layer) -> dict:
-    if isinstance(layer, Lift):
-        return {
-            "kind": "lift",
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "group_order": layer.group_order,
-            "filter_size": layer.basis.filter_size,
-            "cutoff": layer.basis.cutoff,
-        }
-    if isinstance(layer, GroupConv):
-        return {
-            "kind": "group_conv",
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "group_order": layer.group_order,
-            "filter_size": layer.basis.filter_size,
-            "cutoff": layer.basis.cutoff,
-        }
-    if isinstance(layer, PlainConv):
-        return {
-            "kind": "plain_conv",
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "filter_size": layer.basis.filter_size,
-            "cutoff": layer.basis.cutoff,
-        }
-    if isinstance(layer, Bias):
-        return {"kind": "bias", "channels": layer.channels}
-    if isinstance(layer, ReLU):
-        return {"kind": "relu"}
-    if isinstance(layer, ResidualAdd):
-        return {"kind": "residual_add", "skip": layer.skip}
-    if isinstance(layer, OrientationPool):
-        return {"kind": "orientation_pool"}
-    raise ValueError(f"unknown layer {layer!r}")
-
-
-def _payload_arrays(net: NetworkSpec) -> list[np.ndarray]:
-    arrays = []
-    for layer in net.layers:
-        if isinstance(layer, (Lift, GroupConv, PlainConv)):
-            arrays.append(layer.coeffs)
-        elif isinstance(layer, Bias):
-            arrays.append(layer.values)
-    return arrays
-
-
 def save(net: NetworkSpec, path) -> Path:
     """Serialize the network; returns the written path."""
     header = {
         "group_order": net.group.order,
-        "layers": [_layer_header(layer) for layer in net.layers],
+        "layers": [layer.to_header() for layer in net.layers],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = bytearray()
     body += MAGIC
     body += struct.pack("<II", VERSION, len(header_bytes))
     body += header_bytes
-    for arr in _payload_arrays(net):
+    for _, _, arr in parameters(net):
         body += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)))
     out = Path(path)
     out.write_bytes(bytes(body))
     return out
-
-
-def _rebuild_layer(spec: dict, payload: np.ndarray, offset: int):
-    kind = spec["kind"]
-    if kind in ("lift", "group_conv", "plain_conv"):
-        basis = FourierBasis(spec["filter_size"], spec["cutoff"])
-        ci, co = spec["in_channels"], spec["out_channels"]
-        if kind == "lift":
-            shape = (co, ci, basis.size)
-        elif kind == "group_conv":
-            shape = (co, ci, spec["group_order"], basis.size)
-        else:
-            shape = (co, ci, basis.size)
-        n = int(np.prod(shape))
-        if payload.size - offset < n:
-            raise ValueError("checkpoint payload truncated")
-        coeffs = payload[offset : offset + n].reshape(shape).copy()
-        if kind == "lift":
-            return Lift(ci, co, spec["group_order"], basis, coeffs), offset + n
-        if kind == "group_conv":
-            return GroupConv(ci, co, basis, coeffs), offset + n
-        return PlainConv(ci, co, basis, coeffs), offset + n
-    if kind == "bias":
-        n = spec["channels"]
-        if payload.size - offset < n:
-            raise ValueError("checkpoint payload truncated")
-        return Bias(payload[offset : offset + n].copy()), offset + n
-    if kind == "relu":
-        return ReLU(), offset
-    if kind == "residual_add":
-        return ResidualAdd(spec["skip"]), offset
-    if kind == "orientation_pool":
-        return OrientationPool(), offset
-    raise ValueError(f"unknown layer kind {kind!r} in checkpoint")
 
 
 def load(path) -> NetworkSpec:
@@ -155,12 +63,17 @@ def load(path) -> NetworkSpec:
     if header_end > len(blob) - 4:
         raise ValueError("checkpoint header truncated")
     header = json.loads(blob[12:header_end].decode("utf-8"))
+    if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
+        raise ValueError("checkpoint header must be an object with a 'layers' list")
     payload = np.frombuffer(blob[header_end:-4], dtype="<f8")
     layers = []
     offset = 0
     for spec in header["layers"]:
-        layer, offset = _rebuild_layer(spec, payload, offset)
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in LAYER_KINDS:
+            raise ValueError(f"unknown layer kind {kind!r} in checkpoint")
+        layer, offset = LAYER_KINDS[kind].from_header(spec, payload, offset)
         layers.append(layer)
     if offset != payload.size:
         raise ValueError(f"checkpoint payload has {payload.size - offset} unread values")
-    return NetworkSpec(layers, GroupSpec(header["group_order"]))
+    return NetworkSpec(layers, GroupSpec(header.get("group_order")))

@@ -336,7 +336,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     else:
         raise ConfigError(f"unknown optimizer {cfg['optimizer']!r} (use adam or sgd)")
     try:
-        trained, trace = train_denoiser(net, pairs, opt, cfg["epochs"], seed=cfg["seed"])
+        trained, trace = train_denoiser(net, pairs, opt, cfg["epochs"])
     except TrainingDivergence as exc:
         _write_trace(out_dir / "loss.csv", exc.trace)
         print(f"training diverged after {len(exc.trace) - 1} epochs", file=sys.stderr)

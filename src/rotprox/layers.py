@@ -6,6 +6,27 @@ orientations with filters sampled at relative angles, storing 1/t of the
 parameters of the equivalent plain convolution. Orientation pooling (mean)
 returns to the planar domain. All convolutions are stride-1 correlations with
 zero padding (SAME size); equivariance metrics crop the receptive ring.
+
+Each layer kind is one class that carries all of its rules; the chain check,
+forward pass, taped forward, reverse pass, parameter list, init and EQCK
+serialization are plain loops over these methods:
+
+- ``check(states, t, last)``: the chain state ("planar"|"group", channels)
+  after this layer, given the states so far (``states[0]`` is the network
+  input, ``states[-1]`` this layer's input); raises ValueError on a bad chain.
+- ``forward(value, activations, x0)``: the layer output, given its input, the
+  outputs of all earlier layers and the network input.
+- ``record(value, activations, x0)``: ``(output, saved)``, where ``saved``
+  holds exactly what ``backward`` needs.
+- ``backward(g, saved, pending)``: ``(input gradient, {param name: gradient})``;
+  a residual adds its gradient to ``pending[skip]`` (-1 is the network input).
+- ``params()`` and ``init(rng)``: the trainable arrays as (name, array) and
+  their He-style initialization.
+- ``kind``, ``to_header()`` and ``from_header(spec, payload, offset)``: the
+  layer's EQCK v1 header entry; ``from_header`` returns the layer and the
+  payload offset after its arrays.
+
+Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
 """
 
 from __future__ import annotations
@@ -28,8 +49,123 @@ def correlate_stack(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
 
 
+def _angle(o: int, t: int) -> float:
+    # 0.0 at o=0 exactly, so slice 0 samples the unrotated basis
+    return 2.0 * np.pi * o / t if o else 0.0
+
+
+def _flat(value) -> np.ndarray:
+    """Channel-flattened view: group maps (H,W,t,C) -> (H,W,t*C)."""
+    if isinstance(value, GroupFeatureMap):
+        return value.data.reshape(value.height, value.width, -1)
+    return value.data
+
+
+def _conv_backward_input(g_flat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the conv input: scatter the taps back over the padding."""
+    p = w.shape[1]
+    pad = p // 2
+    h, wd = g_flat.shape[:2]
+    slices = w.shape[0]
+    taps = np.tensordot(g_flat, w, axes=([2], [3]))  # (H, W, Si, p, p)
+    dxp = np.zeros((h + 2 * pad, wd + 2 * pad, slices))
+    for u in range(p):
+        for v in range(p):
+            dxp[u : u + h, v : v + wd, :] += taps[:, :, :, u, v]
+    return dxp[pad : pad + h, pad : pad + wd, :]
+
+
+def _conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np.ndarray:
+    pad = p // 2
+    h, wd = x_flat.shape[:2]
+    slices = x_flat.shape[2]
+    xp = np.pad(x_flat, ((pad, pad), (pad, pad), (0, 0)))
+    gm = g_flat.reshape(-1, g_flat.shape[2])
+    dw = np.empty((slices, p, p, g_flat.shape[2]))
+    for u in range(p):
+        for v in range(p):
+            dw[:, u, v, :] = xp[u : u + h, v : v + wd, :].reshape(-1, slices).T @ gm
+    return dw
+
+
+def _header_ints(spec: dict, *keys: str, low: int = 0) -> list[int]:
+    """Integer fields of one EQCK layer entry; a missing, non-integer or too small field is a ValueError."""
+    values = [spec.get(key) for key in keys]
+    for key, value in zip(keys, values):
+        if type(value) is not int or value < low:
+            raise ValueError(
+                f"checkpoint {spec['kind']} layer: {key!r} must be an integer >= {low}, got {value!r}"
+            )
+    return values
+
+
+def _take(payload: np.ndarray, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    n = int(np.prod(shape))
+    if payload.size - offset < n:
+        raise ValueError("checkpoint payload truncated")
+    return payload[offset : offset + n].reshape(shape).copy(), offset + n
+
+
+class Layer:
+    """Defaults for the layer protocol (see the module docstring): no parameters, nothing taped."""
+
+    kind = ""
+
+    def params(self) -> list[tuple[str, np.ndarray]]:
+        return []
+
+    def init(self, rng: np.random.Generator) -> None:
+        pass
+
+    def record(self, value, activations, x0):
+        return self.forward(value, activations, x0), None
+
+    def to_header(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_header(cls, spec: dict, payload: np.ndarray, offset: int):
+        return cls(), offset
+
+
+class _Conv(Layer):
+    """Rules shared by Lift and GroupConv: Fourier coefficients, taped weights, backward."""
+
+    def params(self) -> list[tuple[str, np.ndarray]]:
+        return [("coeffs", self.coeffs)]
+
+    def init(self, rng: np.random.Generator) -> None:
+        self.coeffs = init_coefficients(rng, self.coeffs.shape, self.fan_in, self.basis.filter_size)
+
+    def record(self, value, activations, x0):
+        w = self.weights()
+        return self.forward(value, activations, x0, w), (_flat(value), w, value.data.shape)
+
+    def backward(self, g, saved, pending):
+        x_flat, w, in_shape = saved
+        g_flat = g.reshape(g.shape[0], g.shape[1], -1)
+        dw = _conv_backward_weights(x_flat, g_flat, self.basis.filter_size)
+        return _conv_backward_input(g_flat, w).reshape(in_shape), {"coeffs": self.coeff_grad(dw)}
+
+    def to_header(self) -> dict:
+        return {
+            "kind": self.kind,
+            "in_channels": self.in_channels,
+            "out_channels": self.out_channels,
+            "group_order": self.group_order,
+            "filter_size": self.basis.filter_size,
+            "cutoff": self.basis.cutoff,
+        }
+
+    @staticmethod
+    def _header_fields(spec: dict) -> tuple[int, int, int, FourierBasis]:
+        keys = ("in_channels", "out_channels", "group_order", "filter_size", "cutoff")
+        ci, co, t, p, cutoff = _header_ints(spec, *keys)
+        return ci, co, t, FourierBasis(p, cutoff)
+
+
 @dataclass
-class Lift:
+class Lift(_Conv):
     """Planar -> group feature map; orientation slice o uses filters rotated by 2*pi*o/t."""
 
     in_channels: int
@@ -48,20 +184,53 @@ class Lift:
         if self.group_order < 1:
             raise ValueError(f"group order must be >= 1, got {self.group_order}")
 
+    @property
+    def fan_in(self) -> int:
+        return self.in_channels
+
     def weights(self) -> np.ndarray:
         """(Cin, p, p, t*Cout) with the output axis flattened orientation-major."""
         t, co, ci = self.group_order, self.out_channels, self.in_channels
         p = self.basis.filter_size
         out = np.empty((ci, p, p, t * co))
         for o in range(t):
-            stack = basis_stack(self.basis, 2.0 * np.pi * o / t if o else 0.0)
+            stack = basis_stack(self.basis, _angle(o, t))
             taps = np.tensordot(self.coeffs, stack, axes=([2], [0]))  # (Co, Ci, p, p)
             out[:, :, :, o * co : (o + 1) * co] = taps.transpose(1, 2, 3, 0)
         return out
 
+    def coeff_grad(self, dw: np.ndarray) -> np.ndarray:
+        """Chain tap gradients through the sampled basis onto Fourier coefficients."""
+        t, co = self.group_order, self.out_channels
+        grad = np.zeros_like(self.coeffs)
+        for o in range(t):
+            stack = basis_stack(self.basis, _angle(o, t))
+            dtaps = dw[:, :, :, o * co : (o + 1) * co].transpose(3, 0, 1, 2)
+            grad += np.tensordot(dtaps, stack, axes=([2, 3], [1, 2]))
+        return grad
+
+    def check(self, states, t, last):
+        kind, c = states[-1]
+        if kind != "planar":  # only a Lift leaves the planar domain, and only a final pool returns
+            raise ValueError("second Lift in one network")
+        if c is not None and c != self.in_channels:
+            raise ValueError(f"Lift expects {self.in_channels} channels, chain has {c}")
+        if self.group_order != t:
+            raise ValueError(f"Lift group order {self.group_order} != network order {t}")
+        return ("group", self.out_channels)
+
+    def forward(self, value, activations, x0, weights=None):
+        return lift_conv(value, self, weights)
+
+    @classmethod
+    def from_header(cls, spec, payload, offset):
+        ci, co, t, basis = cls._header_fields(spec)
+        coeffs, offset = _take(payload, offset, (co, ci, basis.size))
+        return cls(ci, co, t, basis, coeffs), offset
+
 
 @dataclass
-class GroupConv:
+class GroupConv(_Conv):
     """Group -> group feature map via cyclic group correlation.
 
     coeffs[c_out, c_in, d, :] parametrizes the filter applied to input orientation
@@ -90,6 +259,10 @@ class GroupConv:
     def group_order(self) -> int:
         return self.coeffs.shape[2]
 
+    @property
+    def fan_in(self) -> int:
+        return self.group_order * self.in_channels
+
     def weights(self) -> np.ndarray:
         """(t*Cin, p, p, t*Cout), both channel axes flattened orientation-major."""
         t, co, ci = self.group_order, self.out_channels, self.in_channels
@@ -97,39 +270,49 @@ class GroupConv:
         out = np.empty((t * ci, p, p, t * co))
         offsets = np.arange(t)
         for o_out in range(t):
-            stack = basis_stack(self.basis, 2.0 * np.pi * o_out / t if o_out else 0.0)
+            stack = basis_stack(self.basis, _angle(o_out, t))
             sel = self.coeffs[:, :, (offsets - o_out) % t, :]  # (Co, Ci, t_in, nb)
             taps = np.tensordot(sel, stack, axes=([3], [0]))  # (Co, Ci, t_in, p, p)
             block = taps.transpose(2, 1, 3, 4, 0).reshape(t * ci, p, p, co)
             out[:, :, :, o_out * co : (o_out + 1) * co] = block
         return out
 
+    def coeff_grad(self, dw: np.ndarray) -> np.ndarray:
+        """Chain tap gradients through the sampled basis onto Fourier coefficients."""
+        t, co, ci = self.group_order, self.out_channels, self.in_channels
+        p = self.basis.filter_size
+        offsets = np.arange(t)
+        grad = np.zeros_like(self.coeffs)
+        for o_out in range(t):
+            stack = basis_stack(self.basis, _angle(o_out, t))
+            dblock = dw[:, :, :, o_out * co : (o_out + 1) * co]
+            dtaps = dblock.reshape(t, ci, p, p, co).transpose(4, 1, 0, 2, 3)
+            dsel = np.tensordot(dtaps, stack, axes=([3, 4], [1, 2]))  # (Co, Ci, t_in, nb)
+            grad[:, :, (offsets - o_out) % t, :] += dsel
+        return grad
+
+    def check(self, states, t, last):
+        kind, c = states[-1]
+        if kind != "group":
+            raise ValueError("GroupConv needs a group feature map (add a Lift first)")
+        if c != self.in_channels:
+            raise ValueError(f"GroupConv expects {self.in_channels} channels, chain has {c}")
+        if self.group_order != t:
+            raise ValueError(f"GroupConv group order {self.group_order} != network order {t}")
+        return ("group", self.out_channels)
+
+    def forward(self, value, activations, x0, weights=None):
+        return group_conv(value, self, weights)
+
+    @classmethod
+    def from_header(cls, spec, payload, offset):
+        ci, co, t, basis = cls._header_fields(spec)
+        coeffs, offset = _take(payload, offset, (co, ci, t, basis.size))
+        return cls(ci, co, basis, coeffs), offset
+
 
 @dataclass
-class PlainConv:
-    """Ordinary (non-equivariant) convolution baseline on planar images."""
-
-    in_channels: int
-    out_channels: int
-    basis: FourierBasis
-    coeffs: np.ndarray  # (out, in, basis size)
-
-    kind = "plain_conv"
-
-    def __post_init__(self):
-        expected = (self.out_channels, self.in_channels, self.basis.size)
-        self.coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
-        if self.coeffs.shape != expected:
-            raise ValueError(f"plain conv coeffs shape {self.coeffs.shape} != {expected}")
-
-    def weights(self) -> np.ndarray:
-        stack = basis_stack(self.basis, 0.0)
-        taps = np.tensordot(self.coeffs, stack, axes=([2], [0]))  # (Co, Ci, p, p)
-        return taps.transpose(1, 2, 3, 0)
-
-
-@dataclass
-class Bias:
+class Bias(Layer):
     """One scalar per base channel, shared across the orientation fiber."""
 
     values: np.ndarray
@@ -145,29 +328,115 @@ class Bias:
     def channels(self) -> int:
         return self.values.shape[0]
 
+    def params(self) -> list[tuple[str, np.ndarray]]:
+        return [("values", self.values)]
+
+    def init(self, rng: np.random.Generator) -> None:
+        self.values = np.zeros_like(self.values)
+
+    def check(self, states, t, last):
+        c = states[-1][1]
+        if c is None:
+            raise ValueError("Bias before any convolution")
+        if self.channels != c:
+            raise ValueError(f"Bias has {self.channels} values, chain has {c} channels")
+        return states[-1]
+
+    def forward(self, value, activations, x0):
+        return type(value)(value.data + self.values, mesh=value.mesh)
+
+    def backward(self, g, saved, pending):
+        return g, {"values": g.sum(axis=tuple(range(g.ndim - 1)))}
+
+    def to_header(self) -> dict:
+        return {"kind": self.kind, "channels": self.channels}
+
+    @classmethod
+    def from_header(cls, spec, payload, offset):
+        values, offset = _take(payload, offset, tuple(_header_ints(spec, "channels")))
+        return cls(values), offset
+
 
 @dataclass
-class ReLU:
+class ReLU(Layer):
     kind = "relu"
 
+    def check(self, states, t, last):
+        if states[-1][1] is None:
+            raise ValueError("ReLU before any convolution")
+        return states[-1]
+
+    def forward(self, value, activations, x0):
+        return type(value)(np.maximum(value.data, 0.0), mesh=value.mesh)
+
+    def record(self, value, activations, x0):
+        return self.forward(value, activations, x0), value.data > 0.0
+
+    def backward(self, g, saved, pending):
+        return g * saved, {}
+
 
 @dataclass
-class ResidualAdd:
+class ResidualAdd(Layer):
     """Adds the recorded output of layer `skip` (-1 = network input)."""
 
     skip: int
 
     kind = "residual_add"
 
+    def check(self, states, t, last):
+        state = states[-1]
+        if not -1 <= self.skip < len(states) - 1:
+            raise ValueError(f"residual skip {self.skip} out of range")
+        if self.skip == -1:
+            if state[0] != "planar":
+                raise ValueError("residual to network input needs a planar activation")
+        elif states[self.skip + 1] != state:
+            raise ValueError(f"residual shapes differ, {states[self.skip + 1]} vs {state}")
+        return state
+
+    def forward(self, value, activations, x0):
+        other = x0 if self.skip == -1 else activations[self.skip]
+        return type(value)(value.data + other.data, mesh=value.mesh)
+
+    def backward(self, g, saved, pending):
+        pending[self.skip] = pending.get(self.skip, 0.0) + g
+        return g, {}
+
+    def to_header(self) -> dict:
+        return {"kind": self.kind, "skip": self.skip}
+
+    @classmethod
+    def from_header(cls, spec, payload, offset):
+        return cls(*_header_ints(spec, "skip", low=-1)), offset
+
 
 @dataclass
-class OrientationPool:
+class OrientationPool(Layer):
     """Mean over the orientation axis; group feature map -> planar image."""
 
     kind = "orientation_pool"
 
+    def check(self, states, t, last):
+        kind, c = states[-1]
+        if kind != "group":
+            raise ValueError("OrientationPool needs a group feature map")
+        if not last:
+            raise ValueError("OrientationPool must be the last layer")
+        return ("planar", c)
 
-CONV_KINDS = (Lift, GroupConv, PlainConv)
+    def forward(self, value, activations, x0):
+        return PlanarImage(value.data.mean(axis=2), mesh=value.mesh)
+
+    def record(self, value, activations, x0):
+        return self.forward(value, activations, x0), value.data.shape[2]
+
+    def backward(self, g, saved, pending):
+        t = saved
+        return np.repeat((g / t)[:, :, None, :], t, axis=2), {}
+
+
+LAYER_KINDS = {cls.kind: cls for cls in (Lift, GroupConv, Bias, ReLU, ResidualAdd, OrientationPool)}
 
 
 @dataclass
@@ -182,138 +451,50 @@ class NetworkSpec:
 
     @property
     def receptive_radius(self) -> int:
-        return sum((l.basis.filter_size - 1) // 2 for l in self.layers if isinstance(l, CONV_KINDS))
+        return sum((l.basis.filter_size - 1) // 2 for l in self.conv_layers)
 
     @property
     def conv_layers(self) -> list:
-        return [l for l in self.layers if isinstance(l, CONV_KINDS)]
-
-    @property
-    def input_channels(self) -> int:
-        for l in self.layers:
-            if isinstance(l, CONV_KINDS):
-                return l.in_channels
-        return 0
+        return [l for l in self.layers if hasattr(l, "basis")]
 
     def output_state(self) -> tuple[str, int]:
         """("planar"|"group", channels) of the network output."""
         return self._states[-1]
 
-    def revalidate(self) -> None:
-        self._states = _validate_chain(self.layers, self.group)
-
 
 def _validate_chain(layers, group: GroupSpec) -> list[tuple[str, int]]:
-    t = group.order
-    state = ("planar", None)  # channel count fixed by the first conv layer
-    states: list[tuple[str, int]] = []
-    lift_seen = False
+    """Chain states: the network input (channels fixed by the first conv), then one per layer."""
+    states = [("planar", None)]
     for idx, layer in enumerate(layers):
-        kind, c = state
-        if isinstance(layer, Lift):
-            if lift_seen:
-                raise ValueError(f"layer {idx}: second Lift in one network")
-            if kind != "planar":
-                raise ValueError(f"layer {idx}: Lift needs a planar input")
-            if c is not None and c != layer.in_channels:
-                raise ValueError(f"layer {idx}: Lift expects {layer.in_channels} channels, chain has {c}")
-            if layer.group_order != t:
-                raise ValueError(f"layer {idx}: Lift group order {layer.group_order} != network order {t}")
-            lift_seen = True
-            state = ("group", layer.out_channels)
-        elif isinstance(layer, GroupConv):
-            if kind != "group":
-                raise ValueError(f"layer {idx}: GroupConv needs a group feature map (add a Lift first)")
-            if c != layer.in_channels:
-                raise ValueError(f"layer {idx}: GroupConv expects {layer.in_channels} channels, chain has {c}")
-            if layer.group_order != t:
-                raise ValueError(f"layer {idx}: GroupConv group order {layer.group_order} != network order {t}")
-            state = ("group", layer.out_channels)
-        elif isinstance(layer, PlainConv):
-            if kind != "planar":
-                raise ValueError(f"layer {idx}: PlainConv needs a planar input")
-            if c is not None and c != layer.in_channels:
-                raise ValueError(f"layer {idx}: PlainConv expects {layer.in_channels} channels, chain has {c}")
-            state = ("planar", layer.out_channels)
-        elif isinstance(layer, Bias):
-            if c is None:
-                raise ValueError(f"layer {idx}: Bias before any convolution")
-            if layer.channels != c:
-                raise ValueError(f"layer {idx}: Bias has {layer.channels} values, chain has {c} channels")
-        elif isinstance(layer, ReLU):
-            if c is None:
-                raise ValueError(f"layer {idx}: ReLU before any convolution")
-        elif isinstance(layer, ResidualAdd):
-            if not -1 <= layer.skip < idx:
-                raise ValueError(f"layer {idx}: residual skip {layer.skip} out of range")
-            ref = ("planar", None) if layer.skip == -1 else states[layer.skip]
-            if layer.skip == -1:
-                if kind != "planar":
-                    raise ValueError(f"layer {idx}: residual to network input needs a planar activation")
-            elif ref != state:
-                raise ValueError(f"layer {idx}: residual shapes differ, {ref} vs {state}")
-        elif isinstance(layer, OrientationPool):
-            if kind != "group":
-                raise ValueError(f"layer {idx}: OrientationPool needs a group feature map")
-            if idx != len(layers) - 1:
-                raise ValueError(f"layer {idx}: OrientationPool must be the last layer")
-            state = ("planar", c)
-        else:
+        if not hasattr(layer, "check"):
             raise ValueError(f"layer {idx}: unknown layer {layer!r}")
-        states.append(state)
-    states.insert(0, ("planar", None))
+        try:
+            states.append(layer.check(states, group.order, idx == len(layers) - 1))
+        except ValueError as exc:
+            raise ValueError(f"layer {idx}: {exc}") from None
     return states
 
 
-def lift_conv(x: PlanarImage, layer: Lift) -> GroupFeatureMap:
-    """Apply a lifting convolution to a planar image."""
+def lift_conv(x: PlanarImage, layer: Lift, weights: np.ndarray | None = None) -> GroupFeatureMap:
+    """Apply a lifting convolution to a planar image; `weights` defaults to layer.weights()."""
     if x.channels != layer.in_channels:
         raise ValueError(f"image has {x.channels} channels, lift expects {layer.in_channels}")
     h, w = x.height, x.width
-    out = correlate_stack(x.data, layer.weights())
+    out = correlate_stack(x.data, layer.weights() if weights is None else weights)
     return GroupFeatureMap(out.reshape(h, w, layer.group_order, layer.out_channels), mesh=x.mesh)
 
 
-def group_conv(f: GroupFeatureMap, layer: GroupConv) -> GroupFeatureMap:
-    """Apply a group convolution to a group feature map."""
+def group_conv(f: GroupFeatureMap, layer: GroupConv, weights: np.ndarray | None = None) -> GroupFeatureMap:
+    """Apply a group convolution to a group feature map; `weights` defaults to layer.weights()."""
     t = layer.group_order
     if f.group_order != t:
         raise ValueError(f"feature map group order {f.group_order} != layer order {t}")
     if f.base_channels != layer.in_channels:
         raise ValueError(f"feature map has {f.base_channels} channels, layer expects {layer.in_channels}")
     h, w = f.height, f.width
-    out = correlate_stack(f.data.reshape(h, w, t * layer.in_channels), layer.weights())
+    flat = f.data.reshape(h, w, t * layer.in_channels)
+    out = correlate_stack(flat, layer.weights() if weights is None else weights)
     return GroupFeatureMap(out.reshape(h, w, t, layer.out_channels), mesh=f.mesh)
-
-
-def plain_conv(x: PlanarImage, layer: PlainConv) -> PlanarImage:
-    if x.channels != layer.in_channels:
-        raise ValueError(f"image has {x.channels} channels, conv expects {layer.in_channels}")
-    return PlanarImage(correlate_stack(x.data, layer.weights()), mesh=x.mesh)
-
-
-def apply_layer(layer, value, activations, x0):
-    """One layer step; `value` and entries of `activations` are PlanarImage/GroupFeatureMap."""
-    if isinstance(layer, Lift):
-        return lift_conv(value, layer)
-    if isinstance(layer, GroupConv):
-        return group_conv(value, layer)
-    if isinstance(layer, PlainConv):
-        return plain_conv(value, layer)
-    if isinstance(layer, Bias):
-        if isinstance(value, GroupFeatureMap):
-            return GroupFeatureMap(value.data + layer.values[None, None, None, :], mesh=value.mesh)
-        return PlanarImage(value.data + layer.values[None, None, :], mesh=value.mesh)
-    if isinstance(layer, ReLU):
-        cls = type(value)
-        return cls(np.maximum(value.data, 0.0), mesh=value.mesh)
-    if isinstance(layer, ResidualAdd):
-        other = x0 if layer.skip == -1 else activations[layer.skip]
-        cls = type(value)
-        return cls(value.data + other.data, mesh=value.mesh)
-    if isinstance(layer, OrientationPool):
-        return PlanarImage(value.data.mean(axis=2), mesh=value.mesh)
-    raise ValueError(f"unknown layer {layer!r}")
 
 
 def forward(net: NetworkSpec, x: PlanarImage):
@@ -321,42 +502,25 @@ def forward(net: NetworkSpec, x: PlanarImage):
     value = x
     activations = []
     for layer in net.layers:
-        value = apply_layer(layer, value, activations, x)
+        value = layer.forward(value, activations, x)
         activations.append(value)
     return value
 
 
 def parameters(net: NetworkSpec) -> list[tuple[int, str, np.ndarray]]:
     """Trainable arrays as (layer index, name, array) in a fixed order."""
-    out = []
-    for idx, layer in enumerate(net.layers):
-        if isinstance(layer, CONV_KINDS):
-            out.append((idx, "coeffs", layer.coeffs))
-        elif isinstance(layer, Bias):
-            out.append((idx, "values", layer.values))
-    return out
+    return [(idx, name, arr) for idx, layer in enumerate(net.layers) for name, arr in layer.params()]
 
 
 def param_count(net: NetworkSpec) -> int:
     return sum(arr.size for _, _, arr in parameters(net))
 
 
-def _conv_fan_in(layer, t: int) -> int:
-    if isinstance(layer, GroupConv):
-        return t * layer.in_channels
-    return layer.in_channels
-
-
 def init_network(net: NetworkSpec, seed: int) -> NetworkSpec:
     """He-style coefficient init (variance 2/(fan-in slices * p^2)); biases start at 0."""
     rng = np.random.default_rng(seed)
     for layer in net.layers:
-        if isinstance(layer, CONV_KINDS):
-            p = layer.basis.filter_size
-            fan = _conv_fan_in(layer, net.group.order)
-            layer.coeffs = init_coefficients(rng, layer.coeffs.shape, fan, p)
-        elif isinstance(layer, Bias):
-            layer.values = np.zeros_like(layer.values)
+        layer.init(rng)
     return net
 
 
@@ -382,27 +546,6 @@ def make_audit_net(
         layers.append(GroupConv(channels, channels, basis, np.zeros((channels, channels, t, nb))))
     layers.append(OrientationPool())
     return init_network(NetworkSpec(layers, group), seed)
-
-
-def make_plain_net(
-    channels: int = 4,
-    n_conv: int = 3,
-    p: int = 5,
-    cutoff: int = 2,
-    seed: int = 0,
-    in_channels: int = 1,
-) -> NetworkSpec:
-    """PlainConv chain with the same wiring as make_audit_net, no orientation fiber."""
-    if n_conv < 1:
-        raise ValueError("need at least one convolution layer")
-    basis = FourierBasis(p, cutoff)
-    nb = basis.size
-    layers: list = [PlainConv(in_channels, channels, basis, np.zeros((channels, in_channels, nb)))]
-    for _ in range(n_conv - 1):
-        layers.append(Bias(np.zeros(channels)))
-        layers.append(ReLU())
-        layers.append(PlainConv(channels, channels, basis, np.zeros((channels, channels, nb))))
-    return init_network(NetworkSpec(layers, GroupSpec(1)), seed)
 
 
 def make_sweep_net(
@@ -479,34 +622,5 @@ def make_denoiser_net(
         OrientationPool(),
     ]
     net = init_network(NetworkSpec(layers, group), seed)
-    net.layers[10].coeffs = np.zeros_like(net.layers[10].coeffs)
-    return net
-
-
-def make_plain_denoiser_net(
-    channels: int = 8,
-    p: int = 5,
-    cutoff: int = 2,
-    seed: int = 0,
-    in_channels: int = 1,
-) -> NetworkSpec:
-    """PlainConv twin of make_denoiser_net; channels ~ C*sqrt(t) matches parameters."""
-    basis = FourierBasis(p, cutoff)
-    nb = basis.size
-    c = channels
-    layers: list = [
-        PlainConv(in_channels, c, basis, np.zeros((c, in_channels, nb))),
-        Bias(np.zeros(c)),
-        ReLU(),
-        PlainConv(c, c, basis, np.zeros((c, c, nb))),
-        Bias(np.zeros(c)),
-        ReLU(),
-        PlainConv(c, c, basis, np.zeros((c, c, nb))),
-        ResidualAdd(skip=2),
-        Bias(np.zeros(c)),
-        ReLU(),
-        PlainConv(c, in_channels, basis, np.zeros((in_channels, c, nb))),
-    ]
-    net = init_network(NetworkSpec(layers, GroupSpec(1)), seed)
     net.layers[10].coeffs = np.zeros_like(net.layers[10].coeffs)
     return net

@@ -1,10 +1,11 @@
 """Reverse-mode differentiation over the layer op set, plus a small full-batch trainer.
 
-A forward pass records a Tape of primitives with exactly the arrays the reverse
-pass needs (conv inputs and materialized weights, ReLU masks, bias values).
-Convolution weight gradients chain through the fixed basis-sampling matrix, so
-parameter gradients land on Fourier coefficients; equivariance is a property of
-the parametrization and survives any number of updates.
+A forward pass records a Tape: each layer's `record` saves exactly the arrays
+its `backward` needs (conv inputs and materialized weights, ReLU masks, the
+pooled orientation count). Convolution weight gradients chain through the
+fixed basis-sampling matrix, so parameter gradients land on Fourier
+coefficients; equivariance is a property of the parametrization and survives
+any number of updates.
 """
 
 from __future__ import annotations
@@ -13,24 +14,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .filters import basis_stack
-from .grids import GroupFeatureMap, PlanarImage
-from .layers import (
-    CONV_KINDS,
-    Bias,
-    GroupConv,
-    Lift,
-    NetworkSpec,
-    OrientationPool,
-    PlainConv,
-    ReLU,
-    ResidualAdd,
-    apply_layer,
-    forward,
-    parameters,
-)
+from .grids import PlanarImage
+from .layers import NetworkSpec, forward, parameters
 
 
 class TapeConsumed(RuntimeError):
@@ -39,20 +25,12 @@ class TapeConsumed(RuntimeError):
 
 @dataclass
 class Tape:
-    """Ordered record of one forward pass: per-layer saved arrays plus the output."""
+    """Ordered record of one forward pass: (layer, saved arrays) per layer plus the output."""
 
     x0: PlanarImage
     entries: list[tuple]
     output: object
     consumed: bool = False
-
-
-def _flat(value) -> np.ndarray:
-    """Channel-flattened view: group maps (H,W,t,C) -> (H,W,t*C)."""
-    if isinstance(value, GroupFeatureMap):
-        h, w = value.height, value.width
-        return value.data.reshape(h, w, -1)
-    return value.data
 
 
 def forward_with_tape(net: NetworkSpec, x: PlanarImage):
@@ -61,118 +39,10 @@ def forward_with_tape(net: NetworkSpec, x: PlanarImage):
     activations = []
     entries: list[tuple] = []
     for layer in net.layers:
-        if isinstance(layer, CONV_KINDS):
-            saved = (_flat(value), layer.weights(), value.data.shape)
-        elif isinstance(layer, Bias):
-            saved = (layer.values.copy(),)
-        elif isinstance(layer, ReLU):
-            saved = (value.data > 0.0,)
-        else:
-            saved = ()
-        value = apply_layer(layer, value, activations, x)
+        value, saved = layer.record(value, activations, x)
         activations.append(value)
         entries.append((layer, saved))
     return value, Tape(x0=x, entries=entries, output=value)
-
-
-def replay(tape: Tape) -> np.ndarray:
-    """Recompute the recorded forward pass from the tape's saved arrays.
-
-    Uses the weights and biases as recorded, so the result matches the taped
-    output bit-exactly even after the network's parameters have been updated.
-    """
-    arr = tape.x0.data
-    acts: list[np.ndarray] = []
-    for layer, saved in tape.entries:
-        if isinstance(layer, CONV_KINDS):
-            _, w, _ = saved
-            flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
-            out = _correlate_flat(flat, w)
-            if isinstance(layer, PlainConv):
-                arr = out
-            else:
-                t = layer.group_order
-                arr = out.reshape(arr.shape[0], arr.shape[1], t, -1)
-        elif isinstance(layer, Bias):
-            (values,) = saved
-            arr = arr + (values if arr.ndim == 3 else values[None, None, None, :])
-        elif isinstance(layer, ReLU):
-            arr = np.maximum(arr, 0.0)
-        elif isinstance(layer, ResidualAdd):
-            arr = arr + (tape.x0.data if layer.skip == -1 else acts[layer.skip])
-        elif isinstance(layer, OrientationPool):
-            arr = arr.mean(axis=2)
-        else:
-            raise ValueError(f"unknown layer {layer!r}")
-        acts.append(arr)
-    return arr
-
-
-def _correlate_flat(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    p = weights.shape[1]
-    pad = p // 2
-    padded = np.pad(arr, ((pad, pad), (pad, pad), (0, 0)))
-    windows = sliding_window_view(padded, (p, p), axis=(0, 1))
-    return np.tensordot(windows, weights, axes=([2, 3, 4], [0, 1, 2]))
-
-
-def _conv_backward_input(g_flat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the conv input: scatter the taps back over the padding."""
-    p = w.shape[1]
-    pad = p // 2
-    h, wd = g_flat.shape[:2]
-    slices = w.shape[0]
-    taps = np.tensordot(g_flat, w, axes=([2], [3]))  # (H, W, Si, p, p)
-    dxp = np.zeros((h + 2 * pad, wd + 2 * pad, slices))
-    for u in range(p):
-        for v in range(p):
-            dxp[u : u + h, v : v + wd, :] += taps[:, :, :, u, v]
-    return dxp[pad : pad + h, pad : pad + wd, :]
-
-
-def _conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np.ndarray:
-    pad = p // 2
-    h, wd = x_flat.shape[:2]
-    slices = x_flat.shape[2]
-    xp = np.pad(x_flat, ((pad, pad), (pad, pad), (0, 0)))
-    gm = g_flat.reshape(-1, g_flat.shape[2])
-    dw = np.empty((slices, p, p, g_flat.shape[2]))
-    for u in range(p):
-        for v in range(p):
-            dw[:, u, v, :] = xp[u : u + h, v : v + wd, :].reshape(-1, slices).T @ gm
-    return dw
-
-
-def _layer_angle(o: int, t: int) -> float:
-    # matches the weights() builders bit-for-bit (0.0 at o=0, not -0.0 etc.)
-    return 2.0 * np.pi * o / t if o else 0.0
-
-
-def _coeff_grad(layer, dw: np.ndarray) -> np.ndarray:
-    """Chain tap gradients through the sampled basis onto Fourier coefficients."""
-    if isinstance(layer, PlainConv):
-        stack = basis_stack(layer.basis, 0.0)
-        dtaps = dw.transpose(3, 0, 1, 2)  # (Co, Ci, p, p)
-        return np.tensordot(dtaps, stack, axes=([2, 3], [1, 2]))
-    if isinstance(layer, Lift):
-        t, co = layer.group_order, layer.out_channels
-        grad = np.zeros_like(layer.coeffs)
-        for o in range(t):
-            stack = basis_stack(layer.basis, _layer_angle(o, t))
-            dtaps = dw[:, :, :, o * co : (o + 1) * co].transpose(3, 0, 1, 2)
-            grad += np.tensordot(dtaps, stack, axes=([2, 3], [1, 2]))
-        return grad
-    t, co, ci = layer.group_order, layer.out_channels, layer.in_channels
-    p = layer.basis.filter_size
-    offsets = np.arange(t)
-    grad = np.zeros_like(layer.coeffs)
-    for o_out in range(t):
-        stack = basis_stack(layer.basis, _layer_angle(o_out, t))
-        dblock = dw[:, :, :, o_out * co : (o_out + 1) * co]
-        dtaps = dblock.reshape(t, ci, p, p, co).transpose(4, 1, 0, 2, 3)
-        dsel = np.tensordot(dtaps, stack, axes=([3, 4], [1, 2]))  # (Co, Ci, t_in, nb)
-        grad[:, :, (offsets - o_out) % t, :] += dsel
-    return grad
 
 
 def backward(tape: Tape, loss_grad) -> tuple[dict[tuple[int, str], np.ndarray], np.ndarray]:
@@ -188,44 +58,15 @@ def backward(tape: Tape, loss_grad) -> tuple[dict[tuple[int, str], np.ndarray], 
     if g.shape != tape.output.data.shape:
         raise ValueError(f"seed gradient shape {g.shape} != output shape {tape.output.data.shape}")
     grads: dict[tuple[int, str], np.ndarray] = {}
-    pending: dict[int, np.ndarray] = {}
-    dx0 = np.zeros_like(tape.x0.data)
+    pending: dict[int, np.ndarray] = {}  # residual gradients by source layer; -1 is the input
     for i in range(len(tape.entries) - 1, -1, -1):
         if i in pending:
             g = g + pending.pop(i)
         layer, saved = tape.entries[i]
-        if isinstance(layer, CONV_KINDS):
-            x_flat, w, in_shape = saved
-            g_flat = g.reshape(g.shape[0], g.shape[1], -1)
-            dw = _conv_backward_weights(x_flat, g_flat, layer.basis.filter_size)
-            grads[(i, "coeffs")] = _coeff_grad(layer, dw)
-            g = _conv_backward_input(g_flat, w).reshape(in_shape)
-        elif isinstance(layer, Bias):
-            axes = (0, 1, 2) if g.ndim == 4 else (0, 1)
-            grads[(i, "values")] = g.sum(axis=axes)
-        elif isinstance(layer, ReLU):
-            (mask,) = saved
-            g = g * mask
-        elif isinstance(layer, ResidualAdd):
-            if layer.skip == -1:
-                dx0 = dx0 + g
-            else:
-                pending[layer.skip] = pending.get(layer.skip, 0.0) + g
-        elif isinstance(layer, OrientationPool):
-            t = _pool_order(tape, i)
-            g = np.repeat((g / t)[:, :, None, :], t, axis=2)
-        else:
-            raise ValueError(f"unknown layer {layer!r}")
-    return grads, dx0 + g
-
-
-def _pool_order(tape: Tape, i: int) -> int:
-    """Orientation count entering the pool at entry i (from the previous activation)."""
-    for j in range(i - 1, -1, -1):
-        layer, saved = tape.entries[j]
-        if isinstance(layer, (Lift, GroupConv)):
-            return layer.group_order
-    raise ValueError("orientation pool without a preceding group layer")
+        g, layer_grads = layer.backward(g, saved, pending)
+        for name, grad in layer_grads.items():
+            grads[(i, name)] = grad
+    return grads, pending.pop(-1, 0.0) + g
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -235,24 +76,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
     loss = float(np.mean(diff**2))
     return loss, (2.0 / diff.size) * diff
-
-
-def soft_threshold_vjp(x: np.ndarray, w: float, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """VJP of soft_threshold: (gradient w.r.t. x, gradient w.r.t. w).
-
-    The map is piecewise linear; on the active set d/dx = 1 and d/dw = -sign(x).
-    """
-    active = np.abs(x) > w
-    dx = g * active
-    dw = -float(np.sum(np.sign(x)[active] * g[active]))
-    return dx, dw
-
-
-def gradient_step_vjp(g: PlanarImage, op, eta: float) -> PlanarImage:
-    """VJP of x -> x - eta * A^T(Ax - y): the Jacobian I - eta*A^T A is constant
-    and self-adjoint, so the VJP is the same linear map applied to g."""
-    ag = op.adjoint(op.apply(g))
-    return PlanarImage(g.data - eta * ag.data, mesh=g.mesh)
 
 
 @dataclass
@@ -307,16 +130,13 @@ def train_denoiser(
     pairs: Sequence[tuple[PlanarImage, PlanarImage]],
     opt,
     epochs: int,
-    seed: int = 0,
 ) -> tuple[NetworkSpec, list[float]]:
     """Full-batch MSE training of a residual denoiser: prediction = noisy + net(noisy).
 
     `pairs` holds (clean, noisy) images. Returns the trained net and the loss
     trace [initial, after epoch 1, ..., after epoch `epochs`]. The run is fully
-    deterministic: full batch, fixed accumulation order; `seed` is accepted for
-    interface stability and does not currently feed any randomness.
+    deterministic: full batch, fixed accumulation order.
     """
-    del seed
     if not pairs:
         raise ValueError("empty training set")
     kind, channels = net.output_state()

@@ -1,16 +1,21 @@
 """Shared test oracles.
 
 Everything here recomputes expected values through a route independent of the
-library's own path (dense QP solvers, exhaustive search, finite differences),
-so agreement is evidence rather than tautology.
+library's own path (dense QP solvers, exhaustive search, finite differences,
+a scipy.signal convolution), so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import struct
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.signal
 
 from rotprox import (
     Bias,
@@ -18,9 +23,10 @@ from rotprox import (
     GroupSpec,
     Lift,
     NetworkSpec,
-    PlainConv,
+    OrientationPool,
     PlanarImage,
     ReLU,
+    basis_stack,
     forward,
     forward_with_tape,
     init_network,
@@ -29,10 +35,84 @@ from rotprox import (
     mse_loss,
     parameters,
 )
+from rotprox.filters import init_coefficients
 from rotprox.layers import GroupConv
 from rotprox.training import backward
 
 GRAD_CHECK_FAMILIES = ("plain_conv", "lift", "group_conv", "pooled", "residual")
+
+
+@dataclass
+class PlainConv:
+    """Ordinary (non-equivariant) planar convolution, as an oracle for t=1 nets.
+
+    It implements the forward half of the layer protocol (check, forward,
+    params, init) and shares no convolution code with the library: the taps
+    coeffs . basis_stack(basis, 0) are correlated channel pair by channel pair
+    with scipy.signal, zero padding, SAME size.
+    """
+
+    in_channels: int
+    out_channels: int
+    basis: FourierBasis
+    coeffs: np.ndarray  # (out, in, basis size)
+
+    kind = "plain_conv"
+
+    @property
+    def fan_in(self) -> int:
+        return self.in_channels
+
+    def params(self):
+        return [("coeffs", self.coeffs)]
+
+    def init(self, rng) -> None:
+        self.coeffs = init_coefficients(rng, self.coeffs.shape, self.fan_in, self.basis.filter_size)
+
+    def check(self, states, t, last):
+        kind, c = states[-1]
+        if kind != "planar":
+            raise ValueError("PlainConv needs a planar input")
+        if c is not None and c != self.in_channels:
+            raise ValueError(f"PlainConv expects {self.in_channels} channels, chain has {c}")
+        return ("planar", self.out_channels)
+
+    def forward(self, value, activations, x0):
+        taps = np.tensordot(self.coeffs, basis_stack(self.basis, 0.0), axes=([2], [0]))
+        out = np.zeros(value.data.shape[:2] + (self.out_channels,))
+        for o in range(self.out_channels):
+            for i in range(self.in_channels):
+                plane = value.data[:, :, i]
+                out[:, :, o] += scipy.signal.correlate2d(plane, taps[o, i], mode="same")
+        return PlanarImage(out, mesh=value.mesh)
+
+
+def make_plain_net(seed: int = 0, channels: int = 4, n_conv: int = 3, p: int = 5, cutoff: int = 2):
+    """PlainConv chain wired like make_audit_net, without the orientation fiber.
+
+    init_network draws its coefficients in the same order, with the same shapes
+    and fan-in, as it does for make_audit_net(1, ...) at the same seed.
+    """
+    basis = FourierBasis(p, cutoff)
+    nb = basis.size
+    layers: list = [PlainConv(1, channels, basis, np.zeros((channels, 1, nb)))]
+    for _ in range(n_conv - 1):
+        conv = PlainConv(channels, channels, basis, np.zeros((channels, channels, nb)))
+        layers += [Bias(np.zeros(channels)), ReLU(), conv]
+    return init_network(NetworkSpec(layers), seed)
+
+
+def with_eqck_header(blob: bytes, header) -> bytes:
+    """EQCK bytes with the JSON header replaced by `header` and a valid CRC."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = blob[:4] + struct.pack("<II", 1, len(header_bytes)) + header_bytes + blob[12 + header_len : -4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def eqck_header(blob: bytes) -> dict:
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12 : 12 + header_len])
 
 
 def difference_matrix(h: int, w: int) -> np.ndarray:
@@ -162,14 +242,16 @@ def sample_grad_config(family: str, rng):
     """
     size = int(rng.integers(7, 11))
     if family == "plain_conv":
+        # the t=1 chain: no orientation fiber, the map of a plain CNN
         c = int(rng.integers(1, 4))
         basis = FourierBasis(3, 1)
         net = NetworkSpec(
             [
-                PlainConv(1, c, basis, 0.5 * rng.standard_normal((c, 1, basis.size))),
+                Lift(1, c, 1, basis, 0.5 * rng.standard_normal((c, 1, basis.size))),
                 Bias(0.1 * rng.standard_normal(c)),
                 ReLU(),
-                PlainConv(c, 1, basis, 0.5 * rng.standard_normal((1, c, basis.size))),
+                GroupConv(c, 1, basis, 0.5 * rng.standard_normal((1, c, 1, basis.size))),
+                OrientationPool(),
             ]
         )
         out_shape = (size, size, 1)
@@ -230,15 +312,12 @@ def sample_grad_config(family: str, rng):
 
 def min_relu_gap(net, x: PlanarImage) -> float:
     """Smallest |pre-activation| any ReLU in the net sees on input x."""
-    from rotprox import ReLU
-    from rotprox.layers import apply_layer
-
     value = x
     activations = []
     gap = np.inf
     for layer in net.layers:
         if isinstance(layer, ReLU):
             gap = min(gap, float(np.min(np.abs(value.data))))
-        value = apply_layer(layer, value, activations, x)
+        value = layer.forward(value, activations, x)
         activations.append(value)
     return gap

@@ -15,6 +15,7 @@ from support import (
     best_subset_support,
     bound_reference,
     directional_grad_check,
+    make_plain_net,
     sample_grad_config,
 )
 from rotprox import (
@@ -33,7 +34,6 @@ from rotprox import (
     ista_solve,
     make_audit_net,
     make_denoiser_net,
-    make_plain_net,
     param_count,
     parameters,
     psnr,

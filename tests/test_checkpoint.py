@@ -1,8 +1,10 @@
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from support import eqck_header, with_eqck_header
 
 from rotprox import (
     ChecksumError,
@@ -17,6 +19,36 @@ from rotprox import (
     SGD,
 )
 from rotprox.synthetic import synthetic_image
+
+
+# Written by rotprox 0.1.0 before layers owned their EQCK headers:
+# save(init_network(make_denoiser_net(t=2, channels=2, p=3, cutoff=1), 0), ...)
+FIXTURE = Path(__file__).parent / "data" / "denoiser_t2_c2_p3_seed0.eqck"
+
+
+def _without(entry: dict, key: str) -> dict:
+    return {k: v for k, v in entry.items() if k != key}
+
+
+# Header edits that once escaped load() as KeyError or TypeError.
+MALFORMED_HEADERS = {
+    "lift_without_cutoff": lambda h: dict(h, layers=[_without(h["layers"][0], "cutoff")] + h["layers"][1:]),
+    "group_conv_without_group_order": lambda h: dict(
+        h, layers=h["layers"][:3] + [_without(h["layers"][3], "group_order")] + h["layers"][4:]
+    ),
+    "layers_as_dict": lambda h: dict(h, layers={"0": h["layers"][0]}),
+    "layers_as_int": lambda h: dict(h, layers=12),
+    "missing_group_order": lambda h: _without(h, "group_order"),
+    "header_is_list": lambda h: [h],
+    "channels_as_string": lambda h: dict(
+        h, layers=[dict(l, channels="2") if l["kind"] == "bias" else l for l in h["layers"]]
+    ),
+    "layer_is_string": lambda h: dict(h, layers=["lift"] + h["layers"][1:]),
+    "kind_is_list": lambda h: dict(h, layers=[dict(h["layers"][0], kind=["lift"])] + h["layers"][1:]),
+    "negative_channels": lambda h: dict(
+        h, layers=[dict(l, channels=-1) if l["kind"] == "bias" else l for l in h["layers"]]
+    ),
+}
 
 
 def _fresh_net(seed=90):
@@ -61,7 +93,28 @@ class TestRoundtrip:
         assert len(trace) == 3
 
 
+class TestFormatStability:
+    def test_fixture_rewrite_is_byte_identical(self, tmp_path):
+        loaded = load_checkpoint(FIXTURE)
+        assert save_checkpoint(loaded, tmp_path / "again.eqck").read_bytes() == FIXTURE.read_bytes()
+
+    def test_fixture_forward_matches_fresh_net(self):
+        fresh = init_network(make_denoiser_net(t=2, channels=2, p=3, cutoff=1), 0)
+        x = synthetic_image(16, 4)
+        out = forward(load_checkpoint(FIXTURE), x).data
+        assert np.any(out != 0.0)
+        assert out.tobytes() == forward(fresh, x).data.tobytes()
+
+
 class TestCorruption:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_with_valid_crc(self, tmp_path, case):
+        blob = save_checkpoint(_fresh_net(89), tmp_path / "net.eqck").read_bytes()
+        bad = tmp_path / f"{case}.eqck"
+        bad.write_bytes(with_eqck_header(blob, MALFORMED_HEADERS[case](eqck_header(blob))))
+        with pytest.raises(ValueError):
+            load_checkpoint(bad)
+
     def test_single_byte_flip_fails_crc(self, tmp_path):
         path = save_checkpoint(_fresh_net(95), tmp_path / "net.eqck")
         blob = bytearray(path.read_bytes())

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from support import eqck_header, with_eqck_header
 
 from rotprox import (
     BlurDownsample,
@@ -23,6 +24,7 @@ from rotprox import (
     write_pgm,
 )
 from rotprox.checkpoint import load as load_checkpoint
+from rotprox.checkpoint import save as save_checkpoint
 from rotprox.cli import main
 
 
@@ -518,6 +520,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "psnr: inf" in proc.stdout
+
+    def test_malformed_checkpoint_header_exits_two(self, tmp_path):
+        net = make_denoiser_net(2, channels=2, p=3, cutoff=1)
+        blob = save_checkpoint(net, tmp_path / "ok.eqck").read_bytes()
+        header = eqck_header(blob)
+        del header["layers"][0]["cutoff"]
+        ckpt = tmp_path / "bad.eqck"
+        ckpt.write_bytes(with_eqck_header(blob, header))
+        cfg = write_config(
+            tmp_path, {"image_size": 12, "steps": 1, "prox": {"kind": "neural", "checkpoint": str(ckpt)}}
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotprox.cli", "denoise", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_usage_error_exits_two(self, tmp_path):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from support import PlainConv, make_plain_net
 
 from rotprox import (
     Bias,
@@ -10,7 +11,6 @@ from rotprox import (
     Lift,
     NetworkSpec,
     OrientationPool,
-    PlainConv,
     PlanarImage,
     ReLU,
     ResidualAdd,
@@ -19,7 +19,6 @@ from rotprox import (
     init_network,
     make_audit_net,
     make_denoiser_net,
-    make_plain_net,
     make_sweep_net,
     param_count,
     relative_difference,
@@ -131,16 +130,12 @@ class TestLayerSemantics:
     def test_bias_shared_across_fiber(self):
         rng = np.random.default_rng(8)
         f = GroupFeatureMap(rng.standard_normal((4, 4, 3, 2)))
-        from rotprox.layers import apply_layer
-
-        out = apply_layer(Bias(np.array([10.0, 20.0])), f, [], None)
+        out = Bias(np.array([10.0, 20.0])).forward(f, [], None)
         np.testing.assert_allclose(out.data, f.data + np.array([10.0, 20.0])[None, None, None, :])
 
     def test_relu_clamps(self):
-        from rotprox.layers import apply_layer
-
         img = PlanarImage(np.array([[-1.0, 2.0]]).reshape(1, 2, 1))
-        out = apply_layer(ReLU(), img, [], None)
+        out = ReLU().forward(img, [], None)
         np.testing.assert_array_equal(out.data.ravel(), [0.0, 2.0])
 
     def test_residual_to_input(self):
