@@ -108,7 +108,7 @@ class GroupSpec:
     order: int
 
     def __post_init__(self):
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
+        if isinstance(self.order, bool) or not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
             raise ValueError(f"group order must be a positive integer, got {self.order}")
         object.__setattr__(self, "order", int(self.order))
 

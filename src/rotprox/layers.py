@@ -40,13 +40,39 @@ from .filters import FourierBasis, basis_stack, init_coefficients
 from .grids import GroupFeatureMap, GroupSpec, PlanarImage
 
 
+# Floor on one band's im2col patch matrix in correlate_stack. Row-blocked GEMMs
+# match the one-shot product bit for bit only while each block stays large
+# enough to take the same BLAS kernel, so bands are never made smaller than this.
+_BAND_BYTES = 8 * 2**20
+
+
 def correlate_stack(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Correlate (H, W, Cin) with a (Cin, p, p, Cout) weight bank, zero padding, SAME size."""
+    """Correlate (H, W, Cin) with a (Cin, p, p, Cout) weight bank, zero padding, SAME size.
+
+    im2col lowering: one GEMM over K = Cin*p*p in (Cin, u, v) order. When the
+    full (H*W, K) patch matrix holds n = bytes // ``_BAND_BYTES`` >= 2 floors,
+    output rows are lowered a band at a time instead: ``H // ceil(H / n)`` bands
+    of near-equal row count, each at least ``ceil(H / n)`` rows, so every band's
+    patch matrix holds at least ``_BAND_BYTES`` and no band is a sliver. The
+    working set is then one band's patches, under 4 * ``_BAND_BYTES`` (or one
+    image row's patches, when one row alone is larger), not the whole matrix.
+    Each output element is still one dot product over the same K order.
+    """
     p = weights.shape[1]
     m = (p - 1) // 2
     padded = np.pad(arr, ((m, m), (m, m), (0, 0)))
     win = sliding_window_view(padded, (p, p), axis=(0, 1))
-    return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
+    h, w, k = arr.shape[0], arr.shape[1], arr.shape[2] * p * p
+    n = h * w * k * win.itemsize // _BAND_BYTES
+    bands = h // -(-h // n) if n > 1 else 1
+    if bands < 2:
+        return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
+    wk = weights.reshape(k, -1)
+    out = np.empty((h, w, wk.shape[1]), dtype=np.result_type(win, wk))
+    edges = [i * h // bands for i in range(bands + 1)]
+    for r0, r1 in zip(edges, edges[1:]):
+        np.dot(win[r0:r1].reshape(-1, k), wk, out=out[r0:r1].reshape(-1, wk.shape[1]))
+    return out
 
 
 def _angle(o: int, t: int) -> float:
@@ -157,6 +183,13 @@ class _Conv(Layer):
             "cutoff": self.basis.cutoff,
         }
 
+    def _check_channels(self) -> None:
+        if self.in_channels < 1 or self.out_channels < 1:
+            raise ValueError(
+                f"{self.kind} needs at least 1 input and 1 output channel, "
+                f"got {self.in_channels} -> {self.out_channels}"
+            )
+
     @staticmethod
     def _header_fields(spec: dict) -> tuple[int, int, int, FourierBasis]:
         keys = ("in_channels", "out_channels", "group_order", "filter_size", "cutoff")
@@ -177,6 +210,7 @@ class Lift(_Conv):
     kind = "lift"
 
     def __post_init__(self):
+        self._check_channels()
         expected = (self.out_channels, self.in_channels, self.basis.size)
         self.coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
         if self.coeffs.shape != expected:
@@ -246,6 +280,7 @@ class GroupConv(_Conv):
     kind = "group_conv"
 
     def __post_init__(self):
+        self._check_channels()
         self.coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
         if self.coeffs.ndim != 4 or self.coeffs.shape[:2] != (self.out_channels, self.in_channels):
             raise ValueError(
@@ -573,6 +608,7 @@ def make_sweep_net(
     c = channels
     rng = np.random.default_rng(seed)
     lift_coeffs = init_coefficients(rng, (c, in_channels, b_lift.size), in_channels, 5)
+    lift = Lift(in_channels, c, t, b_lift, lift_coeffs)  # rejects channels < 1 before the t * c fan-in below
     if master_order % t == 0:
         gc_shape = (c, c, master_order, b_deep.size)
         gc1 = init_coefficients(rng, gc_shape, t * c, 9)[:, :, :: master_order // t, :]
@@ -581,7 +617,7 @@ def make_sweep_net(
         gc1 = init_coefficients(rng, (c, c, t, b_deep.size), t * c, 9)
         gc2 = init_coefficients(rng, (c, c, t, b_deep.size), t * c, 9)
     layers: list = [
-        Lift(in_channels, c, t, b_lift, lift_coeffs),
+        lift,
         Bias(np.zeros(c)),
         ReLU(),
         GroupConv(c, c, b_deep, gc1),

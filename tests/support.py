@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
-a scipy.signal convolution), so agreement is evidence rather than tautology.
+a scipy.signal convolution, an unbanded one-GEMM correlation), so agreement is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rotprox import (
     Bias,
@@ -100,6 +102,17 @@ def make_plain_net(seed: int = 0, channels: int = 4, n_conv: int = 3, p: int = 5
         conv = PlainConv(channels, channels, basis, np.zeros((channels, channels, nb)))
         layers += [Bias(np.zeros(channels)), ReLU(), conv]
     return init_network(NetworkSpec(layers), seed)
+
+
+def one_shot_correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Zero-padded SAME correlation as one GEMM over the whole (H*W, Cin*p*p) patch matrix.
+
+    The unbanded im2col route, as an oracle for correlate_stack's row bands.
+    """
+    p = weights.shape[1]
+    m = (p - 1) // 2
+    win = sliding_window_view(np.pad(arr, ((m, m), (m, m), (0, 0))), (p, p), axis=(0, 1))
+    return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
 
 
 def with_eqck_header(blob: bytes, header) -> bytes:

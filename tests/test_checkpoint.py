@@ -48,6 +48,7 @@ MALFORMED_HEADERS = {
     "negative_channels": lambda h: dict(
         h, layers=[dict(l, channels=-1) if l["kind"] == "bias" else l for l in h["layers"]]
     ),
+    "group_order_is_bool": lambda h: dict(h, group_order=True),
 }
 
 
@@ -113,6 +114,16 @@ class TestCorruption:
         bad = tmp_path / f"{case}.eqck"
         bad.write_bytes(with_eqck_header(blob, MALFORMED_HEADERS[case](eqck_header(blob))))
         with pytest.raises(ValueError):
+            load_checkpoint(bad)
+
+    def test_bool_group_order_of_order_one_net(self, tmp_path):
+        # true == 1, so only the type check tells this header from a valid t=1 one
+        net = init_network(make_denoiser_net(1, channels=2, p=3, cutoff=1), seed=88)
+        blob = save_checkpoint(net, tmp_path / "net.eqck").read_bytes()
+        bad = tmp_path / "bool.eqck"
+        bad.write_bytes(with_eqck_header(blob, dict(eqck_header(blob), group_order=True)))
+        assert load_checkpoint(tmp_path / "net.eqck").group.order == 1
+        with pytest.raises(ValueError, match="group order"):
             load_checkpoint(bad)
 
     def test_single_byte_flip_fails_crc(self, tmp_path):

@@ -541,6 +541,19 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["audit-equivariance", "train"])
+    def test_zero_channels_exits_two(self, tmp_path, command):
+        cfg = write_config(tmp_path, {"channels": 0})
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotprox.cli", command, "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exits_two(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "rotprox.cli", "denoise", "--config",

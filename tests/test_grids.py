@@ -218,3 +218,8 @@ class TestContainers:
         assert g.angle(5) == pytest.approx(np.pi / 2)
         with pytest.raises(ValueError):
             GroupSpec(0)
+
+    @pytest.mark.parametrize("order", [True, np.bool_(True)])
+    def test_group_order_is_not_a_bool(self, order):
+        with pytest.raises(ValueError):
+            GroupSpec(order)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from support import PlainConv, make_plain_net
+from support import PlainConv, make_plain_net, one_shot_correlate
 
 from rotprox import (
     Bias,
@@ -24,7 +26,7 @@ from rotprox import (
     relative_difference,
     rotate_image,
 )
-from rotprox.layers import correlate_stack, group_conv, lift_conv
+from rotprox.layers import _BAND_BYTES, correlate_stack, group_conv, lift_conv
 from rotprox.synthetic import synthetic_image
 
 
@@ -69,6 +71,43 @@ class TestCorrelateStack:
         out = correlate_stack(arr, taps)
         assert out[0, 0, 0] == 4.0
         assert out[1, 1, 0] == 9.0
+
+
+class TestBandedCorrelation:
+    """Patch matrices above the band floor are lowered a band of output rows at a time."""
+
+    # (H, W, Cin, p, Cout): non-square, H not a multiple of the band count, GEMV and GEMM
+    SHAPES = [
+        (97, 128, 400, 1, 2),
+        (91, 75, 32, 5, 1),
+        (83, 100, 8, 9, 1),
+        (83, 100, 8, 9, 2),
+        (101, 64, 12, 9, 5),
+    ]
+
+    @pytest.mark.parametrize("h, w, ci, p, co", SHAPES)
+    def test_matches_one_shot_gemm(self, h, w, ci, p, co):
+        n = h * w * ci * p * p * 8 // _BAND_BYTES
+        assert h // -(-h // n) >= 3, "shape too small to force three bands"
+        rng = np.random.default_rng(h + p + co)
+        arr = rng.standard_normal((h, w, ci))
+        weights = rng.standard_normal((ci, p, p, co))
+        got = correlate_stack(arr, weights)
+        np.testing.assert_allclose(got, one_shot_correlate(arr, weights), rtol=1e-12, atol=1e-12)
+        assert got.tobytes() == correlate_stack(arr, weights).tobytes()
+
+    def test_sweep_group_conv_working_set(self):
+        # t=24 sweep shape: 128^2, 72 -> 72 slices, p=9; the full patch matrix is 729 MiB
+        layer = make_sweep_net(24, channels=3).layers[3]
+        x = GroupFeatureMap(np.random.default_rng(7).standard_normal((128, 128, 24, 3)))
+        w = layer.weights()
+        tracemalloc.start()
+        try:
+            group_conv(x, layer, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20
 
 
 class TestLiftEquivariance:
@@ -208,6 +247,14 @@ class TestNetworkValidation:
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown layer"):
             NetworkSpec([object()])
+
+    @pytest.mark.parametrize("ci, co", [(0, 2), (2, 0), (0, 0)])
+    def test_conv_needs_a_channel_each_way(self, ci, co):
+        basis = FourierBasis(3, 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            Lift(ci, co, 4, basis, np.zeros((co, ci, basis.size)))
+        with pytest.raises(ValueError, match="at least 1"):
+            GroupConv(ci, co, basis, np.zeros((co, ci, 4, basis.size)))
 
     def test_channel_mismatch_between_convs(self):
         with pytest.raises(ValueError, match="channels"):
