@@ -49,14 +49,16 @@ _BAND_BYTES = 8 * 2**20
 def correlate_stack(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Correlate (H, W, Cin) with a (Cin, p, p, Cout) weight bank, zero padding, SAME size.
 
-    im2col lowering: one GEMM over K = Cin*p*p in (Cin, u, v) order. When the
-    full (H*W, K) patch matrix holds n = bytes // ``_BAND_BYTES`` >= 2 floors,
-    output rows are lowered a band at a time instead: ``H // ceil(H / n)`` bands
-    of near-equal row count, each at least ``ceil(H / n)`` rows, so every band's
-    patch matrix holds at least ``_BAND_BYTES`` and no band is a sliver. The
-    working set is then one band's patches, under 4 * ``_BAND_BYTES`` (or one
-    image row's patches, when one row alone is larger), not the whole matrix.
-    Each output element is still one dot product over the same K order.
+    Banded im2col lowering: output rows are lowered a band at a time, and each
+    band is one GEMM over K = Cin*p*p in (Cin, u, v) order, written into the
+    matching rows of one preallocated output. When the full (H*W, K) patch
+    matrix holds n = bytes // ``_BAND_BYTES`` floors, there are
+    ``H // ceil(H / n)`` bands of near-equal row count (one band when n <= 1),
+    each at least ``ceil(H / n)`` rows, so every band's patch matrix holds at
+    least ``_BAND_BYTES`` and no band is a sliver. The working set is one band's
+    patches, under 4 * ``_BAND_BYTES`` (or one image row's patches, when one row
+    alone is larger), not the whole matrix. Each output element is one dot
+    product over the same K order whatever the band count.
     """
     p = weights.shape[1]
     m = (p - 1) // 2
@@ -65,8 +67,6 @@ def correlate_stack(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     h, w, k = arr.shape[0], arr.shape[1], arr.shape[2] * p * p
     n = h * w * k * win.itemsize // _BAND_BYTES
     bands = h // -(-h // n) if n > 1 else 1
-    if bands < 2:
-        return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
     wk = weights.reshape(k, -1)
     out = np.empty((h, w, wk.shape[1]), dtype=np.result_type(win, wk))
     edges = [i * h // bands for i in range(bands + 1)]

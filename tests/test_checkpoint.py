@@ -48,7 +48,6 @@ MALFORMED_HEADERS = {
     "negative_channels": lambda h: dict(
         h, layers=[dict(l, channels=-1) if l["kind"] == "bias" else l for l in h["layers"]]
     ),
-    "group_order_is_bool": lambda h: dict(h, group_order=True),
 }
 
 
