@@ -14,8 +14,12 @@ serialization are plain loops over these methods:
 - ``check(states, t, last)``: the chain state ("planar"|"group", channels)
   after this layer, given the states so far (``states[0]`` is the network
   input, ``states[-1]`` this layer's input); raises ValueError on a bad chain.
+- ``reads``: the indices of earlier layers whose outputs this layer reads
+  (default none); a pass keeps a layer's output beyond the next layer only
+  when some layer lists it here.
 - ``forward(value, activations, x0)``: the layer output, given its input, the
-  outputs of all earlier layers and the network input.
+  kept outputs of earlier layers (``activations[i]`` for each i in ``reads``)
+  and the network input.
 - ``record(value, activations, x0)``: ``(output, saved)``, where ``saved``
   holds exactly what ``backward`` needs.
 - ``backward(g, saved, pending)``: ``(input gradient, {param name: gradient})``;
@@ -136,6 +140,7 @@ class Layer:
     """Defaults for the layer protocol (see the module docstring): no parameters, nothing taped."""
 
     kind = ""
+    reads: tuple[int, ...] = ()
 
     def params(self) -> list[tuple[str, np.ndarray]]:
         return []
@@ -419,6 +424,10 @@ class ResidualAdd(Layer):
 
     kind = "residual_add"
 
+    @property
+    def reads(self) -> tuple[int, ...]:
+        return (self.skip,) if self.skip >= 0 else ()
+
     def check(self, states, t, last):
         state = states[-1]
         if not -1 <= self.skip < len(states) - 1:
@@ -496,6 +505,10 @@ class NetworkSpec:
         """("planar"|"group", channels) of the network output."""
         return self._states[-1]
 
+    def read_outputs(self) -> frozenset[int]:
+        """Indices of the layers whose outputs a later layer reads."""
+        return frozenset(i for layer in self.layers for i in layer.reads)
+
 
 def _validate_chain(layers, group: GroupSpec) -> list[tuple[str, int]]:
     """Chain states: the network input (channels fixed by the first conv), then one per layer."""
@@ -535,10 +548,12 @@ def group_conv(f: GroupFeatureMap, layer: GroupConv, weights: np.ndarray | None 
 def forward(net: NetworkSpec, x: PlanarImage):
     """Run the network; returns a PlanarImage or GroupFeatureMap per the layer chain."""
     value = x
-    activations = []
-    for layer in net.layers:
+    keep = net.read_outputs()
+    activations = {}
+    for idx, layer in enumerate(net.layers):
         value = layer.forward(value, activations, x)
-        activations.append(value)
+        if idx in keep:
+            activations[idx] = value
     return value
 
 

@@ -10,6 +10,7 @@ up to the equivariance bound respectively).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,24 @@ from .layers import NetworkSpec, forward
 TV_DUAL_STEP = 0.125
 
 
+def _check_real(name: str, value, low: float, strict: bool = False) -> None:
+    """Reject a bool, a non-real value, NaN, and a value below `low` (or equal
+    to it when `strict`) with ValueError; config values reach here unchecked."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not (ok and (value > low if strict else value >= low)):
+        raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def _check_tv_args(w, tol, max_iter) -> None:
+    _check_real("weight", w, 0)
+    _check_real("tol", tol, 0, strict=True)
+    if isinstance(max_iter, (bool, np.bool_)) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def soft_threshold(x: PlanarImage, w: float) -> PlanarImage:
     """Elementwise sign(x) * max(|x| - w, 0); exact prox of w*||.||_1."""
-    if w < 0:
-        raise ValueError(f"threshold weight must be >= 0, got {w}")
+    _check_real("weight", w, 0)
     if w == 0:
         return x
     return PlanarImage(soft_threshold_array(x.data, w), mesh=x.mesh)
@@ -35,29 +50,60 @@ def soft_threshold_array(x: np.ndarray, w: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - w, 0.0)
 
 
-def _forward_diff(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences with replicated last row/column (zero difference)."""
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:, :-1] = u[:, 1:] - u[:, :-1]
-    gy[:-1, :] = u[1:, :] - u[:-1, :]
-    return gx, gy
+def _forward_diff(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward differences (gx, gy) stacked as (2, H, W), zero across the last
+    column/row (replicated boundary); fills and returns `out` (C-contiguous)
+    when given.
 
-
-def _neg_divergence_adjoint(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Adjoint of _forward_diff: (gx, gy) -> -div(p) with matching boundaries."""
-    out = np.zeros_like(px)
-    out[:, :-1] -= px[:, :-1]
-    out[:, 1:] += px[:, :-1]
-    out[:-1, :] -= py[:-1, :]
-    out[1:, :] += py[:-1, :]
+    gx is taken over the flattened image, which also differences each row's last
+    pixel with the next row's first; that column is then overwritten with the
+    boundary zero, so every element is the same single subtraction as a
+    row-by-row difference, without the per-row strided loop.
+    """
+    if out is None:
+        out = np.empty((2, *u.shape), dtype=u.dtype)
+    flat, gx = u.reshape(-1), out[0].reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=gx[:-1])
+    out[0, :, -1] = 0.0
+    np.subtract(u[1:], u[:-1], out=out[1, :-1])
+    out[1, -1] = 0.0
     return out
+
+
+def _neg_divergence_adjoint(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of _forward_diff: stacked (px, py) -> -div(p) with matching
+    boundaries; fills and returns `out` (C-contiguous) when given.
+
+    Per element this is ((0 - px[i, j]) + px[i, j-1]) - py[i, j] + py[i-1, j],
+    each term present only inside the boundary, in that order. The two px
+    passes run over the flattened image; the elements they touch across a row
+    boundary are then reset to what the row-by-row pass leaves there.
+    """
+    px, py = p
+    if out is None:
+        out = np.empty_like(px)
+    flat, fpx = out.reshape(-1), px.reshape(-1)
+    np.subtract(0.0, fpx, out=flat)
+    out[:, -1] = 0.0
+    np.add(flat[1:], fpx[:-1], out=flat[1:])
+    if px.shape[1] > 1:
+        np.subtract(0.0, px[1:, 0], out=out[1:, 0])
+    else:
+        out.fill(0.0)
+    np.subtract(out[:-1], py[:-1], out=out[:-1])
+    np.add(out[1:], py[:-1], out=out[1:])
+    return out
+
+
+def _abs_sum(g: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """sum |gx| + sum |gy| of a stacked gradient, each half summed on its own."""
+    a = np.abs(g, out=scratch)
+    return float(a[0].sum() + a[1].sum())
 
 
 def tv_value_aniso(u: np.ndarray) -> float:
     """Anisotropic TV: sum |forward differences| over both axes."""
-    gx, gy = _forward_diff(u)
-    return float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+    return _abs_sum(_forward_diff(u))
 
 
 @dataclass(frozen=True)
@@ -72,12 +118,16 @@ def tv_prox(x: PlanarImage, w: float, tol: float = 1e-8, max_iter: int = 500) ->
 
     Maximizes the dual over p in [-1,1]^2 per pixel: u = x + w*div(p), updating
     p <- clip(p + (tau/w)*grad(u)). Stops when the dual update's max change is
-    below tol. The returned objective never exceeds the objective at x.
+    below tol, or after max_iter updates. The returned objective never exceeds
+    the objective at x.
+
+    Each iteration evaluates the primal u and its gradient once: the gradient
+    that scores the new iterate's objective is the one the next dual update
+    uses. All buffers are allocated once per channel and filled in place, in the
+    same floating-point operations and order as the straightforward loop, so
+    the output is bit-identical to recomputing both each time.
     """
-    if w < 0:
-        raise ValueError(f"TV weight must be >= 0, got {w}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+    _check_tv_args(w, tol, max_iter)
     if w == 0:
         return TVResult(x, True, 0)
     out = np.empty_like(x.data)
@@ -91,28 +141,42 @@ def tv_prox(x: PlanarImage, w: float, tol: float = 1e-8, max_iter: int = 500) ->
     return TVResult(PlanarImage(out, mesh=x.mesh), converged, iterations)
 
 
-def _tv_objective(u: np.ndarray, f: np.ndarray, w: float) -> float:
-    return 0.5 * float(np.sum((u - f) ** 2)) + w * tv_value_aniso(u)
+def _tv_objective(u: np.ndarray, f: np.ndarray, w: float, g: np.ndarray, scratch: np.ndarray) -> float:
+    """1/2 ||u - f||^2 + w * TV(u), given g = _forward_diff(u) and a (2, H, W) scratch buffer."""
+    r = np.subtract(u, f, out=scratch[0])
+    return 0.5 * float(np.square(r, out=r).sum()) + w * _abs_sum(g, scratch)
+
+
+def _primal(f, w, p, div, u, g) -> None:
+    """u = f - w * (-div p) and g = _forward_diff(u), into the buffers given."""
+    np.multiply(_neg_divergence_adjoint(p, out=div), w, out=div)
+    np.subtract(f, div, out=u)
+    _forward_diff(u, out=g)
 
 
 def _tv_prox_plane(f: np.ndarray, w: float, tol: float, max_iter: int):
-    px = np.zeros_like(f)
-    py = np.zeros_like(f)
+    f = np.ascontiguousarray(f)
+    step = TV_DUAL_STEP / w
+    p = np.zeros((2, *f.shape))
+    p_next, scratch, g = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+    div = np.empty(f.shape)
     # The p=0 iterate is f itself, so the best objective never exceeds the
     # objective at the input even if the dual ascent is cut off early.
-    best_u = f
-    best_obj = _tv_objective(f, f, w)
+    best_u, best_obj = f.copy(), _tv_objective(f, f, w, _forward_diff(f, out=g), scratch)
+    u = np.empty_like(best_u)
+    _primal(f, w, p, div, u, g)
     for it in range(1, max_iter + 1):
-        u = f - w * _neg_divergence_adjoint(px, py)
-        gx, gy = _forward_diff(u)
-        px_new = np.clip(px + (TV_DUAL_STEP / w) * gx, -1.0, 1.0)
-        py_new = np.clip(py + (TV_DUAL_STEP / w) * gy, -1.0, 1.0)
-        change = max(np.max(np.abs(px_new - px)), np.max(np.abs(py_new - py)))
-        px, py = px_new, py_new
-        u = f - w * _neg_divergence_adjoint(px, py)
-        obj = _tv_objective(u, f, w)
+        np.multiply(g, step, out=p_next)
+        np.add(p, p_next, out=p_next)
+        np.clip(p_next, -1.0, 1.0, out=p_next)
+        np.abs(np.subtract(p_next, p, out=scratch), out=scratch)
+        change = max(scratch[0].max(), scratch[1].max())
+        p, p_next = p_next, p
+        _primal(f, w, p, div, u, g)
+        obj = _tv_objective(u, f, w, g, scratch)
         if obj < best_obj:
-            best_u, best_obj = u, obj
+            # swap, never copy: the old best buffer is free to take the next u
+            best_u, u, best_obj = u, best_u, obj
         if change < tol:
             return best_u, True, it
     return best_u, False, max_iter
@@ -132,8 +196,7 @@ class SoftThreshold:
     weight: float
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
+        _check_real("weight", self.weight, 0)
 
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return soft_threshold(x, self.weight)
@@ -146,10 +209,7 @@ class TVProx:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        _check_tv_args(self.weight, self.tol, self.max_iter)
 
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return tv_prox(x, self.weight, self.tol, self.max_iter).image

@@ -36,11 +36,13 @@ class Tape:
 def forward_with_tape(net: NetworkSpec, x: PlanarImage):
     """forward(net, x) while recording what the reverse pass needs."""
     value = x
-    activations = []
+    keep = net.read_outputs()
+    activations = {}
     entries: list[tuple] = []
-    for layer in net.layers:
+    for idx, layer in enumerate(net.layers):
         value, saved = layer.record(value, activations, x)
-        activations.append(value)
+        if idx in keep:
+            activations[idx] = value
         entries.append((layer, saved))
     return value, Tape(x0=x, entries=entries, output=value)
 

@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
-a scipy.signal convolution, an unbanded one-GEMM correlation), so agreement is
+a scipy.signal convolution, an unbanded one-GEMM correlation, a TV dual loop
+that recomputes and reallocates everything each iteration), so agreement is
 evidence rather than tautology.
 """
 
@@ -48,10 +49,10 @@ GRAD_CHECK_FAMILIES = ("plain_conv", "lift", "group_conv", "pooled", "residual")
 class PlainConv:
     """Ordinary (non-equivariant) planar convolution, as an oracle for t=1 nets.
 
-    It implements the forward half of the layer protocol (check, forward,
-    params, init) and shares no convolution code with the library: the taps
-    coeffs . basis_stack(basis, 0) are correlated channel pair by channel pair
-    with scipy.signal, zero padding, SAME size.
+    It implements the forward half of the layer protocol (check, reads,
+    forward, params, init) and shares no convolution code with the library:
+    the taps coeffs . basis_stack(basis, 0) are correlated channel pair by
+    channel pair with scipy.signal, zero padding, SAME size.
     """
 
     in_channels: int
@@ -60,6 +61,7 @@ class PlainConv:
     coeffs: np.ndarray  # (out, in, basis size)
 
     kind = "plain_conv"
+    reads = ()
 
     @property
     def fan_in(self) -> int:
@@ -163,6 +165,71 @@ def tv_prox_dual_qp(f: np.ndarray, weight: float, method: str = "trf") -> np.nda
 def tv_objective(u: np.ndarray, f: np.ndarray, weight: float) -> float:
     d = difference_matrix(*f.shape)
     return 0.5 * float(np.sum((u - f) ** 2)) + weight * float(np.sum(np.abs(d @ u.ravel())))
+
+
+# The TV dual loop as first written: each iteration rebuilds the primal and its
+# forward differences twice (once for the dual step, once for the objective),
+# allocating fresh arrays for every intermediate. rotprox.tv_prox must match it
+# bit for bit: the arithmetic is elementwise numpy plus pairwise sums over
+# C-contiguous arrays, with no BLAS, so no reordering is allowed.
+REFERENCE_TV_DUAL_STEP = 0.125
+
+
+def reference_forward_diff(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    gx = np.zeros_like(u)
+    gy = np.zeros_like(u)
+    gx[:, :-1] = u[:, 1:] - u[:, :-1]
+    gy[:-1, :] = u[1:, :] - u[:-1, :]
+    return gx, gy
+
+
+def reference_neg_divergence_adjoint(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(px)
+    out[:, :-1] -= px[:, :-1]
+    out[:, 1:] += px[:, :-1]
+    out[:-1, :] -= py[:-1, :]
+    out[1:, :] += py[:-1, :]
+    return out
+
+
+def _reference_tv_objective(u: np.ndarray, f: np.ndarray, w: float) -> float:
+    gx, gy = reference_forward_diff(u)
+    tv = float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+    return 0.5 * float(np.sum((u - f) ** 2)) + w * tv
+
+
+def reference_tv_prox_plane(f: np.ndarray, w: float, tol: float, max_iter: int):
+    px = np.zeros_like(f)
+    py = np.zeros_like(f)
+    best_u = f
+    best_obj = _reference_tv_objective(f, f, w)
+    for it in range(1, max_iter + 1):
+        u = f - w * reference_neg_divergence_adjoint(px, py)
+        gx, gy = reference_forward_diff(u)
+        px_new = np.clip(px + (REFERENCE_TV_DUAL_STEP / w) * gx, -1.0, 1.0)
+        py_new = np.clip(py + (REFERENCE_TV_DUAL_STEP / w) * gy, -1.0, 1.0)
+        change = max(np.max(np.abs(px_new - px)), np.max(np.abs(py_new - py)))
+        px, py = px_new, py_new
+        u = f - w * reference_neg_divergence_adjoint(px, py)
+        obj = _reference_tv_objective(u, f, w)
+        if obj < best_obj:
+            best_u, best_obj = u, obj
+        if change < tol:
+            return best_u, True, it
+    return best_u, False, max_iter
+
+
+def reference_tv_prox(data: np.ndarray, w: float, tol: float, max_iter: int):
+    """(H, W, C) -> (prox image data, converged, iterations), channel by channel."""
+    out = np.empty_like(data)
+    converged = True
+    iterations = 0
+    for c in range(data.shape[2]):
+        plane, ok, it = reference_tv_prox_plane(data[:, :, c], w, tol, max_iter)
+        out[:, :, c] = plane
+        converged = converged and ok
+        iterations = max(iterations, it)
+    return out, converged, iterations
 
 
 def bound_reference(layers, F0, G0, H0, p, h, t, height, width) -> float:

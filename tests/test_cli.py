@@ -122,6 +122,23 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"image_size": 8, "steps": 2, "step_size": 2.0})
         self.check(["denoise", "--config", cfg, "--out", str(tmp_path)], capsys)
 
+    @pytest.mark.parametrize(
+        "prox, fragment",
+        [
+            ({"kind": "tv", "max_iter": 0}, "max_iter"),
+            ({"kind": "tv", "max_iter": -3}, "max_iter"),
+            ({"kind": "tv", "max_iter": True}, "max_iter"),
+            ({"kind": "tv", "max_iter": 1.5}, "max_iter"),
+            ({"kind": "tv", "max_iter": "5"}, "max_iter"),
+            ({"kind": "tv", "tol": "a"}, "tol"),
+            ({"kind": "tv", "weight": "x"}, "weight"),
+            ({"kind": "soft_threshold", "weight": "x"}, "weight"),
+        ],
+    )
+    def test_bad_prox_parameter(self, tmp_path, capsys, prox, fragment):
+        cfg = write_config(tmp_path, {"image_size": 12, "steps": 1, "prox": prox})
+        self.check(["denoise", "--config", cfg, "--out", str(tmp_path)], capsys, fragment)
+
     def test_empty_t_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t_list": []})
         self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")

@@ -26,8 +26,9 @@ from rotprox import (
     relative_difference,
     rotate_image,
 )
+from rotprox.audit import SWEEP_RING_ORDERS
 from rotprox.layers import _BAND_BYTES, correlate_stack, group_conv, lift_conv
-from rotprox.synthetic import synthetic_image
+from rotprox.synthetic import ring_stack, synthetic_image
 
 
 def correlate_reference(arr, weights):
@@ -108,6 +109,22 @@ class TestBandedCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < 96 * 2**20
+
+
+class TestForwardWorkingSet:
+    def test_sweep_forward_keeps_no_spent_activations(self):
+        # t=24 sweep net at 128^2: each feature map is 9 MiB, and no layer reads
+        # an earlier output, so none may outlive the layer that consumes it
+        net = make_sweep_net(24, channels=3, seed=5)
+        x = ring_stack(1, 128, 5, 1.0 / 6.0, orders=SWEEP_RING_ORDERS)[0]
+        assert net.read_outputs() == frozenset()
+        tracemalloc.start()
+        try:
+            forward(net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestLiftEquivariance:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from support import tv_objective, tv_prox_dual_qp
+from support import reference_tv_prox, tv_objective, tv_prox_dual_qp
 
 from rotprox import (
     FourierBasis,
@@ -138,6 +138,37 @@ class TestTVContract:
             TVProx(-1.0)
         with pytest.raises(ValueError, match="> 0"):
             TVProx(0.1, tol=-1e-3)
+        bad = [
+            ({"max_iter": 0}, "max_iter"),
+            ({"max_iter": -3}, "max_iter"),
+            ({"max_iter": True}, "max_iter"),
+            ({"max_iter": np.True_}, "max_iter"),
+            ({"max_iter": 1.5}, "max_iter"),
+            ({"max_iter": "5"}, "max_iter"),
+            ({"tol": "a"}, "tol"),
+            ({"tol": True}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+            ({"w": "x"}, "weight"),
+            ({"w": True}, "weight"),
+            ({"w": float("nan")}, "weight"),
+        ]
+        for change, match in bad:
+            args = {"w": 0.1, "tol": 1e-8, "max_iter": 5} | change
+            with pytest.raises(ValueError, match=match):
+                tv_prox(x, **args)
+            with pytest.raises(ValueError, match=match):
+                TVProx(args["w"], tol=args["tol"], max_iter=args["max_iter"])
+            if "w" in change:
+                with pytest.raises(ValueError, match=match):
+                    SoftThreshold(args["w"])
+                with pytest.raises(ValueError, match=match):
+                    soft_threshold(x, args["w"])
+
+    def test_accepts_numpy_scalars(self):
+        x = plane_image([[0.0, 1.0]])
+        want = tv_prox(x, 0.2, 1e-6, 50).image.data
+        got = TVProx(np.float64(0.2), tol=np.float64(1e-6), max_iter=np.int64(50))(x).data
+        np.testing.assert_array_equal(got, want)
 
     def test_objective_never_exceeds_input(self):
         # even a single forced iteration must not move uphill
@@ -169,6 +200,33 @@ class TestTVContract:
         x = synthetic_image(24, 10, mesh=1 / 3)
         p = TVProx(0.15, tol=1e-10, max_iter=5000)
         assert check_prox_equivariance(p, x, np.pi / 2) <= 1e-6
+
+
+class TestTVReferenceLoop:
+    """tv_prox against the loop that recomputes and reallocates every iterate
+    (tests/support.py): same output bytes, same stopping iteration."""
+
+    STOPS = {"early": (1e-3, 2000), "first": (1e-12, 1), "cap": (1e-300, 20)}
+
+    @pytest.mark.parametrize("stop", sorted(STOPS))
+    @pytest.mark.parametrize("weight", [1e-4, 0.05, 0.5, 50.0])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("shape", [(1, 2), (17, 23), (64, 64)])
+    def test_bit_identical(self, shape, channels, weight, stop):
+        tol, max_iter = self.STOPS[stop]
+        x = PlanarImage(np.random.default_rng(7).standard_normal((*shape, channels)))
+        before = x.data.tobytes()
+        got = tv_prox(x, weight, tol, max_iter)
+        want, converged, iterations = reference_tv_prox(x.data, weight, tol, max_iter)
+        assert x.data.tobytes() == before
+        assert got.image.data.tobytes() == want.tobytes()
+        assert (got.converged, got.iterations) == (converged, iterations)
+        if stop == "early":
+            assert converged and iterations < max_iter
+        elif stop == "first":
+            assert iterations == 1
+        else:  # only a dual that stops moving exactly can beat a 1e-300 tolerance
+            assert iterations == max_iter or converged
 
 
 class TestNeuralProx:
