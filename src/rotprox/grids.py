@@ -112,13 +112,6 @@ class GroupSpec:
             raise ValueError(f"group order must be a positive integer, got {self.order}")
         object.__setattr__(self, "order", int(self.order))
 
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.order) / self.order
-
-    def angle(self, k: int) -> float:
-        return 0.0 if k % self.order == 0 else 2.0 * np.pi * (k % self.order) / self.order
-
 
 def _quarter_multiple(theta: float) -> int | None:
     """Return k with theta ~= k*pi/2 (within snap tolerance), else None."""

@@ -10,6 +10,7 @@ up to the equivariance bound respectively).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -31,11 +32,24 @@ def _check_real(name: str, value, low: float, strict: bool = False) -> None:
         raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {low}, got {value!r}")
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Reject a bool, a non-integer and an integer below `low` with ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_tv_args(w, tol, max_iter) -> None:
     _check_real("weight", w, 0)
+    try:
+        finite = math.isfinite(w) and (w == 0 or math.isfinite(TV_DUAL_STEP / float(w)))
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"weight must be finite and large enough for a finite dual step {TV_DUAL_STEP} / weight, got {w!r}"
+        )
     _check_real("tol", tol, 0, strict=True)
-    if isinstance(max_iter, (bool, np.bool_)) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _check_int("max_iter", max_iter, 1)
 
 
 def soft_threshold(x: PlanarImage, w: float) -> PlanarImage:

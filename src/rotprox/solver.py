@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import PlanarImage
 from .layers import correlate_stack
-from .prox import NeuralProx, SoftThreshold, TVProx, tv_value_aniso
+from .prox import NeuralProx, SoftThreshold, TVProx, _check_int, _check_real, tv_value_aniso
 
 POWER_ITERATIONS = 50
 
@@ -130,10 +130,9 @@ class UnfoldingConfig:
     record_objective: bool = False
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        _check_int("steps", self.steps, 0)
+        if self.step_size is not None:
+            _check_real("step_size", self.step_size, 0, strict=True)
 
 
 class SolverDivergence(RuntimeError):

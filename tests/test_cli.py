@@ -139,6 +139,31 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"image_size": 12, "steps": 1, "prox": prox})
         self.check(["denoise", "--config", cfg, "--out", str(tmp_path)], capsys, fragment)
 
+    @pytest.mark.parametrize("weight", ["1e400", "1e-320"])
+    def test_tv_weight_must_be_finite(self, tmp_path, capsys, weight):
+        # JSON text, not json.dumps: 1e400 parses to inf, 1e-320 to a subnormal
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"image_size": 12, "steps": 1, "prox": {{"kind": "tv", "weight": {weight}}}}}')
+        self.check(["denoise", "--config", str(path), "--out", str(tmp_path)], capsys, "weight")
+
+    @pytest.mark.parametrize("command", ["denoise", "sr"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("steps", True),
+            ("steps", 1.5),
+            ("steps", -1),
+            ("steps", "3"),
+            ("step_size", True),
+            ("step_size", "a"),
+            ("step_size", 0),
+            ("step_size", -0.5),
+        ],
+    )
+    def test_bad_unfolding_parameter(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, {"image_size": 12, "steps": 1, key: value})
+        self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, key)
+
     def test_empty_t_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t_list": []})
         self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")

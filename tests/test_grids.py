@@ -211,11 +211,7 @@ class TestContainers:
         with pytest.raises(ValueError):
             GroupFeatureMap(np.ones((4, 4, 2)))
 
-    def test_group_spec_angles(self):
-        g = GroupSpec(4)
-        np.testing.assert_allclose(g.angles, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
-        assert g.angle(0) == 0.0
-        assert g.angle(5) == pytest.approx(np.pi / 2)
+    def test_group_spec_rejects_order_zero(self):
         with pytest.raises(ValueError):
             GroupSpec(0)
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from support import PlainConv, make_plain_net, one_shot_correlate
 
 from rotprox import (
@@ -75,7 +77,11 @@ class TestCorrelateStack:
 
 
 class TestBandedCorrelation:
-    """Patch matrices above the band floor are lowered a band of output rows at a time."""
+    """Shapes whose im2col patch matrix spans three or more band floors.
+
+    On the im2col route they are lowered a band of output rows at a time; the
+    p = 9, Cin > 1 shapes take the FFT route and check it at the same sizes.
+    """
 
     # (H, W, Cin, p, Cout): non-square, H not a multiple of the band count, GEMV and GEMM
     SHAPES = [
@@ -84,6 +90,8 @@ class TestBandedCorrelation:
         (83, 100, 8, 9, 1),
         (83, 100, 8, 9, 2),
         (101, 64, 12, 9, 5),
+        (120, 100, 8, 7, 3),
+        (210, 200, 1, 9, 2),
     ]
 
     @pytest.mark.parametrize("h, w, ci, p, co", SHAPES)
@@ -109,6 +117,45 @@ class TestBandedCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < 96 * 2**20
+
+
+@st.composite
+def correlate_shapes(draw):
+    """(H, W, Cin, Cout, p) on either route; sides cluster at the FFT tile edges."""
+    if draw(st.booleans()):
+        p, ci = draw(st.sampled_from([9, 11])), draw(st.integers(2, 6))
+    else:
+        p, ci = draw(
+            st.one_of(
+                st.tuples(st.sampled_from([1, 3, 5, 7]), st.integers(1, 6)),
+                st.tuples(st.sampled_from([9, 11]), st.just(1)),
+            )
+        )
+    s = 2 * (p - 1)  # output side of one FFT tile of 3(p - 1) input pixels
+    side = st.one_of(
+        st.integers(1, max(s - 1, 1)),
+        st.just(max(s, 1)),
+        st.integers(1, 3).map(lambda k: k * s + 1),
+        st.integers(1, 50),
+    )
+    return draw(side), draw(side), ci, draw(st.integers(1, 5)), p
+
+
+class TestCorrelateProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(correlate_shapes(), st.integers(0, 2**32 - 1))
+    @example((7, 16, 3, 2, 9), 0)  # one side below one tile, the other exactly one tile
+    @example((17, 33, 2, 4, 9), 1)  # k * s + 1: a last tile row and column of one pixel
+    @example((21, 20, 4, 1, 11), 2)
+    @example((16, 17, 1, 3, 9), 3)  # Cin = 1 stays on im2col
+    def test_matches_one_shot_gemm(self, shape, seed):
+        h, w, ci, co, p = shape
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((h, w, ci))
+        weights = rng.standard_normal((ci, p, p, co))
+        got = correlate_stack(arr, weights)
+        np.testing.assert_allclose(got, one_shot_correlate(arr, weights), rtol=1e-12, atol=1e-12)
+        assert got.tobytes() == correlate_stack(arr, weights).tobytes()
 
 
 class TestForwardWorkingSet:

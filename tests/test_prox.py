@@ -164,6 +164,16 @@ class TestTVContract:
                 with pytest.raises(ValueError, match=match):
                     soft_threshold(x, args["w"])
 
+    @pytest.mark.parametrize("w", [float("inf"), 1e-320, 10**400])
+    def test_weight_and_dual_step_must_be_finite(self, w):
+        # an infinite weight, or one whose dual step TV_DUAL_STEP / w overflows,
+        # would turn every iterate into NaN and return the input unconverged
+        x = plane_image([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        with pytest.raises(ValueError, match="weight"):
+            tv_prox(x, w, max_iter=50)
+        with pytest.raises(ValueError, match="weight"):
+            TVProx(w)
+
     def test_accepts_numpy_scalars(self):
         x = plane_image([[0.0, 1.0]])
         want = tv_prox(x, 0.2, 1e-6, 50).image.data
