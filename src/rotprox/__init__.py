@@ -27,7 +27,6 @@ from .filters import (
     SmoothnessBounds,
     basis_stack,
     bounds_from_coefficients,
-    filter_bounds,
     image_bounds,
     sample_filter,
 )
@@ -64,7 +63,6 @@ from .prox import (
     check_prox_equivariance,
     neural_prox,
     soft_threshold,
-    soft_threshold_array,
     tv_prox,
     tv_value_aniso,
 )
@@ -102,92 +100,3 @@ from .training import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "REGULARIZER_KINDS",
-    "SWEEP_GROUP_ORDERS",
-    "Adam",
-    "Bias",
-    "BlurDownsample",
-    "BoundInputs",
-    "ChecksumError",
-    "DegenerateReferenceError",
-    "EquivarianceReport",
-    "FourierBasis",
-    "GroupConv",
-    "GroupFeatureMap",
-    "GroupSpec",
-    "Identity",
-    "LayerBounds",
-    "Lift",
-    "NetworkSpec",
-    "NeuralProx",
-    "OrientationPool",
-    "PlanarImage",
-    "ReLU",
-    "RegularizerSpec",
-    "ResidualAdd",
-    "SGD",
-    "SmoothnessBounds",
-    "SoftThreshold",
-    "SolverDivergence",
-    "TVProx",
-    "TVResult",
-    "Tape",
-    "TapeConsumed",
-    "TrainingDivergence",
-    "UnfoldingConfig",
-    "act_on_feature_map",
-    "backward",
-    "basis_stack",
-    "bound_inputs_for",
-    "bounds_from_coefficients",
-    "check_prox_equivariance",
-    "degrade",
-    "emit_regularizer_report",
-    "emit_report",
-    "estimate_lipschitz",
-    "filter_bounds",
-    "forward",
-    "forward_with_tape",
-    "gaussian_kernel",
-    "image_bounds",
-    "init_network",
-    "ista_solve",
-    "ista_step",
-    "load_checkpoint",
-    "make_audit_net",
-    "make_denoiser_net",
-    "make_sweep_net",
-    "measure_equivariance",
-    "mse_loss",
-    "neural_prox",
-    "order_sweep",
-    "param_count",
-    "parameters",
-    "psnr",
-    "read_eqt1",
-    "read_pgm",
-    "refinement_errors",
-    "regularizer_rotation_table",
-    "regularizer_value",
-    "relative_difference",
-    "relative_spread",
-    "ring_image",
-    "ring_stack",
-    "rotate_image",
-    "sample_field",
-    "sample_filter",
-    "save_checkpoint",
-    "soft_threshold",
-    "soft_threshold_array",
-    "synthetic_field",
-    "synthetic_image",
-    "synthetic_stack",
-    "theorem1_bound",
-    "train_denoiser",
-    "tv_prox",
-    "tv_value_aniso",
-    "write_eqt1",
-    "write_pgm",
-]

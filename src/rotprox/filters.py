@@ -207,10 +207,6 @@ def bounds_from_coefficients(basis: FourierBasis, coeffs: np.ndarray) -> Smoothn
     )
 
 
-def filter_bounds(f: ParamFilter) -> SmoothnessBounds:
-    return bounds_from_coefficients(f.basis, f.coefficients)
-
-
 def image_bounds(img: PlanarImage) -> SmoothnessBounds:
     """Smoothness bounds of the latent continuous image, estimated from the samples.
 

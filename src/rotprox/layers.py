@@ -21,9 +21,12 @@ serialization are plain loops over these methods:
   kept outputs of earlier layers (``activations[i]`` for each i in ``reads``)
   and the network input.
 - ``record(value, activations, x0)``: ``(output, saved)``, where ``saved``
-  holds exactly what ``backward`` needs.
-- ``backward(g, saved, pending)``: ``(input gradient, {param name: gradient})``;
-  a residual adds its gradient to ``pending[skip]`` (-1 is the network input).
+  holds exactly what ``grads`` and ``backward`` need.
+- ``grads(g, saved)``: ``{param name: gradient}`` given the output gradient
+  (default none).
+- ``backward(g, saved, pending)``: the gradient w.r.t. the layer input; a
+  residual also adds its gradient to ``pending[skip]``. The reverse pass asks
+  every layer but the first for it: nothing reads the network-input gradient.
 - ``params()`` and ``init(rng)``: the trainable arrays as (name, array) and
   their He-style initialization.
 - ``kind``, ``to_header()`` and ``from_header(spec, payload, offset)``: the
@@ -160,20 +163,6 @@ def _flat(value) -> np.ndarray:
     return value.data
 
 
-def _conv_backward_input(g_flat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the conv input: scatter the taps back over the padding."""
-    p = w.shape[1]
-    pad = p // 2
-    h, wd = g_flat.shape[:2]
-    slices = w.shape[0]
-    taps = np.tensordot(g_flat, w, axes=([2], [3]))  # (H, W, Si, p, p)
-    dxp = np.zeros((h + 2 * pad, wd + 2 * pad, slices))
-    for u in range(p):
-        for v in range(p):
-            dxp[u : u + h, v : v + wd, :] += taps[:, :, :, u, v]
-    return dxp[pad : pad + h, pad : pad + wd, :]
-
-
 def _conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np.ndarray:
     pad = p // 2
     h, wd = x_flat.shape[:2]
@@ -220,6 +209,9 @@ class Layer:
     def record(self, value, activations, x0):
         return self.forward(value, activations, x0), None
 
+    def grads(self, g, saved) -> dict[str, np.ndarray]:
+        return {}
+
     def to_header(self) -> dict:
         return {"kind": self.kind}
 
@@ -229,7 +221,15 @@ class Layer:
 
 
 class _Conv(Layer):
-    """Rules shared by Lift and GroupConv: Fourier coefficients, taped weights, backward."""
+    """One body for Lift (a group conv with n = 1 input orientation) and GroupConv (n = t).
+
+    Coefficients are viewed as (Co, Ci, n, nb); output orientation o_out reads input
+    orientation o_in through offset (o_in - o_out) mod n, sampled at o_out's angle.
+    """
+
+    @property
+    def fan_in(self) -> int:
+        return self.in_orientations * self.in_channels
 
     def params(self) -> list[tuple[str, np.ndarray]]:
         return [("coeffs", self.coeffs)]
@@ -237,15 +237,49 @@ class _Conv(Layer):
     def init(self, rng: np.random.Generator) -> None:
         self.coeffs = init_coefficients(rng, self.coeffs.shape, self.fan_in, self.basis.filter_size)
 
+    def weights(self) -> np.ndarray:
+        """(n*Cin, p, p, t*Cout), both channel axes flattened orientation-major."""
+        n, t, co, ci = self.in_orientations, self.group_order, self.out_channels, self.in_channels
+        p = self.basis.filter_size
+        coeffs = self.coeffs.reshape(co, ci, n, -1)
+        out = np.empty((n * ci, p, p, t * co))
+        offsets = np.arange(n)
+        for o_out in range(t):
+            stack = basis_stack(self.basis, _angle(o_out, t))
+            sel = coeffs[:, :, (offsets - o_out) % n, :]  # (Co, Ci, n, nb)
+            taps = np.tensordot(sel, stack, axes=([3], [0]))  # (Co, Ci, n, p, p)
+            block = taps.transpose(2, 1, 3, 4, 0).reshape(n * ci, p, p, co)
+            out[:, :, :, o_out * co : (o_out + 1) * co] = block
+        return out
+
+    def coeff_grad(self, dw: np.ndarray) -> np.ndarray:
+        """Chain tap gradients through the sampled basis onto Fourier coefficients."""
+        n, t, co, ci = self.in_orientations, self.group_order, self.out_channels, self.in_channels
+        p = self.basis.filter_size
+        offsets = np.arange(n)
+        grad = np.zeros((co, ci, n, self.basis.size))
+        for o_out in range(t):
+            stack = basis_stack(self.basis, _angle(o_out, t))
+            dblock = dw[:, :, :, o_out * co : (o_out + 1) * co]
+            dtaps = dblock.reshape(n, ci, p, p, co).transpose(4, 1, 0, 2, 3)
+            dsel = np.tensordot(dtaps, stack, axes=([3, 4], [1, 2]))  # (Co, Ci, n, nb)
+            grad[:, :, (offsets - o_out) % n, :] += dsel
+        return grad.reshape(self.coeffs.shape)
+
     def record(self, value, activations, x0):
         w = self.weights()
         return self.forward(value, activations, x0, w), (_flat(value), w, value.data.shape)
 
+    def grads(self, g, saved):
+        x_flat, _, _ = saved
+        dw = _conv_backward_weights(x_flat, g.reshape(g.shape[0], g.shape[1], -1), self.basis.filter_size)
+        return {"coeffs": self.coeff_grad(dw)}
+
     def backward(self, g, saved, pending):
-        x_flat, w, in_shape = saved
+        # the adjoint of a correlation is the correlation with the flipped, transposed bank
+        _, w, in_shape = saved
         g_flat = g.reshape(g.shape[0], g.shape[1], -1)
-        dw = _conv_backward_weights(x_flat, g_flat, self.basis.filter_size)
-        return _conv_backward_input(g_flat, w).reshape(in_shape), {"coeffs": self.coeff_grad(dw)}
+        return correlate_stack(g_flat, w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)).reshape(in_shape)
 
     def to_header(self) -> dict:
         return {
@@ -282,6 +316,7 @@ class Lift(_Conv):
     coeffs: np.ndarray  # (out, in, basis size)
 
     kind = "lift"
+    in_orientations = 1
 
     def __post_init__(self):
         self._check_channels()
@@ -291,31 +326,6 @@ class Lift(_Conv):
             raise ValueError(f"lift coeffs shape {self.coeffs.shape} != {expected}")
         if self.group_order < 1:
             raise ValueError(f"group order must be >= 1, got {self.group_order}")
-
-    @property
-    def fan_in(self) -> int:
-        return self.in_channels
-
-    def weights(self) -> np.ndarray:
-        """(Cin, p, p, t*Cout) with the output axis flattened orientation-major."""
-        t, co, ci = self.group_order, self.out_channels, self.in_channels
-        p = self.basis.filter_size
-        out = np.empty((ci, p, p, t * co))
-        for o in range(t):
-            stack = basis_stack(self.basis, _angle(o, t))
-            taps = np.tensordot(self.coeffs, stack, axes=([2], [0]))  # (Co, Ci, p, p)
-            out[:, :, :, o * co : (o + 1) * co] = taps.transpose(1, 2, 3, 0)
-        return out
-
-    def coeff_grad(self, dw: np.ndarray) -> np.ndarray:
-        """Chain tap gradients through the sampled basis onto Fourier coefficients."""
-        t, co = self.group_order, self.out_channels
-        grad = np.zeros_like(self.coeffs)
-        for o in range(t):
-            stack = basis_stack(self.basis, _angle(o, t))
-            dtaps = dw[:, :, :, o * co : (o + 1) * co].transpose(3, 0, 1, 2)
-            grad += np.tensordot(dtaps, stack, axes=([2, 3], [1, 2]))
-        return grad
 
     def check(self, states, t, last):
         kind, c = states[-1]
@@ -369,36 +379,8 @@ class GroupConv(_Conv):
         return self.coeffs.shape[2]
 
     @property
-    def fan_in(self) -> int:
-        return self.group_order * self.in_channels
-
-    def weights(self) -> np.ndarray:
-        """(t*Cin, p, p, t*Cout), both channel axes flattened orientation-major."""
-        t, co, ci = self.group_order, self.out_channels, self.in_channels
-        p = self.basis.filter_size
-        out = np.empty((t * ci, p, p, t * co))
-        offsets = np.arange(t)
-        for o_out in range(t):
-            stack = basis_stack(self.basis, _angle(o_out, t))
-            sel = self.coeffs[:, :, (offsets - o_out) % t, :]  # (Co, Ci, t_in, nb)
-            taps = np.tensordot(sel, stack, axes=([3], [0]))  # (Co, Ci, t_in, p, p)
-            block = taps.transpose(2, 1, 3, 4, 0).reshape(t * ci, p, p, co)
-            out[:, :, :, o_out * co : (o_out + 1) * co] = block
-        return out
-
-    def coeff_grad(self, dw: np.ndarray) -> np.ndarray:
-        """Chain tap gradients through the sampled basis onto Fourier coefficients."""
-        t, co, ci = self.group_order, self.out_channels, self.in_channels
-        p = self.basis.filter_size
-        offsets = np.arange(t)
-        grad = np.zeros_like(self.coeffs)
-        for o_out in range(t):
-            stack = basis_stack(self.basis, _angle(o_out, t))
-            dblock = dw[:, :, :, o_out * co : (o_out + 1) * co]
-            dtaps = dblock.reshape(t, ci, p, p, co).transpose(4, 1, 0, 2, 3)
-            dsel = np.tensordot(dtaps, stack, axes=([3, 4], [1, 2]))  # (Co, Ci, t_in, nb)
-            grad[:, :, (offsets - o_out) % t, :] += dsel
-        return grad
+    def in_orientations(self) -> int:
+        return self.group_order
 
     def check(self, states, t, last):
         kind, c = states[-1]
@@ -454,8 +436,11 @@ class Bias(Layer):
     def forward(self, value, activations, x0):
         return type(value)(value.data + self.values, mesh=value.mesh)
 
+    def grads(self, g, saved):
+        return {"values": g.sum(axis=tuple(range(g.ndim - 1)))}
+
     def backward(self, g, saved, pending):
-        return g, {"values": g.sum(axis=tuple(range(g.ndim - 1)))}
+        return g
 
     def to_header(self) -> dict:
         return {"kind": self.kind, "channels": self.channels}
@@ -482,7 +467,7 @@ class ReLU(Layer):
         return self.forward(value, activations, x0), value.data > 0.0
 
     def backward(self, g, saved, pending):
-        return g * saved, {}
+        return g * saved
 
 
 @dataclass
@@ -514,7 +499,7 @@ class ResidualAdd(Layer):
 
     def backward(self, g, saved, pending):
         pending[self.skip] = pending.get(self.skip, 0.0) + g
-        return g, {}
+        return g
 
     def to_header(self) -> dict:
         return {"kind": self.kind, "skip": self.skip}
@@ -546,7 +531,7 @@ class OrientationPool(Layer):
 
     def backward(self, g, saved, pending):
         t = saved
-        return np.repeat((g / t)[:, :, None, :], t, axis=2), {}
+        return np.repeat((g / t)[:, :, None, :], t, axis=2)
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Lift, GroupConv, Bias, ReLU, ResidualAdd, OrientationPool)}

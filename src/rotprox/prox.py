@@ -57,11 +57,7 @@ def soft_threshold(x: PlanarImage, w: float) -> PlanarImage:
     _check_real("weight", w, 0)
     if w == 0:
         return x
-    return PlanarImage(soft_threshold_array(x.data, w), mesh=x.mesh)
-
-
-def soft_threshold_array(x: np.ndarray, w: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - w, 0.0)
+    return PlanarImage(np.sign(x.data) * np.maximum(np.abs(x.data) - w, 0.0), mesh=x.mesh)
 
 
 def _forward_diff(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -215,6 +211,11 @@ class SoftThreshold:
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return soft_threshold(x, self.weight)
 
+    @staticmethod
+    def R(x: PlanarImage) -> float:
+        """The unweighted regularizer ||x||_1."""
+        return float(np.sum(np.abs(x.data)))
+
 
 @dataclass(frozen=True)
 class TVProx:
@@ -227,6 +228,11 @@ class TVProx:
 
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return tv_prox(x, self.weight, self.tol, self.max_iter).image
+
+    @staticmethod
+    def R(x: PlanarImage) -> float:
+        """The unweighted regularizer: anisotropic TV summed over channels."""
+        return sum(tv_value_aniso(x.data[:, :, c]) for c in range(x.channels))
 
 
 @dataclass(frozen=True)

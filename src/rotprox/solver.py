@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import PlanarImage
 from .layers import correlate_stack
-from .prox import NeuralProx, SoftThreshold, TVProx, _check_int, _check_real, tv_value_aniso
+from .prox import _check_int, _check_real
 
 POWER_ITERATIONS = 50
 
@@ -159,19 +159,15 @@ def ista_step(x_t: PlanarImage, y: PlanarImage, op: DegradationOp, cfg: Unfoldin
 
 
 def _regularizer_term(prox, eta: float) -> Callable[[PlanarImage], float] | None:
-    """Closed-form lambda*R(x) when the prox's objective is known, else None.
+    """lambda*R(x) when the prox exposes its closed-form regularizer R, else None.
 
     Prox weights fold the trade-off as w = lambda * eta, so lambda = w / eta.
     """
-    if isinstance(prox, SoftThreshold):
-        lam = prox.weight / eta
-        return lambda x: lam * float(np.sum(np.abs(x.data)))
-    if isinstance(prox, TVProx):
-        lam = prox.weight / eta
-        return lambda x: lam * sum(
-            tv_value_aniso(x.data[:, :, c]) for c in range(x.channels)
-        )
-    return None
+    reg = getattr(prox, "R", None)
+    if reg is None:
+        return None
+    lam = prox.weight / eta
+    return lambda x: lam * reg(x)
 
 
 def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple[PlanarImage, list[float]]:

@@ -1,11 +1,13 @@
 """Reverse-mode differentiation over the layer op set, plus a small full-batch trainer.
 
 A forward pass records a Tape: each layer's `record` saves exactly the arrays
-its `backward` needs (conv inputs and materialized weights, ReLU masks, the
-pooled orientation count). Convolution weight gradients chain through the
-fixed basis-sampling matrix, so parameter gradients land on Fourier
-coefficients; equivariance is a property of the parametrization and survives
-any number of updates.
+its `grads` and `backward` need (conv inputs and materialized weights, ReLU
+masks, the pooled orientation count). The reverse pass returns parameter
+gradients only; it carries the input gradient down to the first layer and no
+further, since no caller reads the gradient w.r.t. the network input.
+Convolution weight gradients chain through the fixed basis-sampling matrix, so
+parameter gradients land on Fourier coefficients; equivariance is a property of
+the parametrization and survives any number of updates.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class TapeConsumed(RuntimeError):
 class Tape:
     """Ordered record of one forward pass: (layer, saved arrays) per layer plus the output."""
 
-    x0: PlanarImage
     entries: list[tuple]
     output: object
     consumed: bool = False
@@ -44,14 +45,13 @@ def forward_with_tape(net: NetworkSpec, x: PlanarImage):
         if idx in keep:
             activations[idx] = value
         entries.append((layer, saved))
-    return value, Tape(x0=x, entries=entries, output=value)
+    return value, Tape(entries=entries, output=value)
 
 
-def backward(tape: Tape, loss_grad) -> tuple[dict[tuple[int, str], np.ndarray], np.ndarray]:
-    """Exact reverse-mode gradients from a seed gradient on the taped output.
-
-    Returns ({(layer index, param name): gradient}, gradient w.r.t. the input).
-    A tape backs exactly one reverse pass.
+def backward(tape: Tape, loss_grad) -> dict[tuple[int, str], np.ndarray]:
+    """Exact reverse-mode parameter gradients from a seed gradient on the taped
+    output, as {(layer index, param name): gradient}. A tape backs exactly one
+    reverse pass.
     """
     if tape.consumed:
         raise TapeConsumed("tape already consumed by a previous backward pass")
@@ -60,15 +60,16 @@ def backward(tape: Tape, loss_grad) -> tuple[dict[tuple[int, str], np.ndarray], 
     if g.shape != tape.output.data.shape:
         raise ValueError(f"seed gradient shape {g.shape} != output shape {tape.output.data.shape}")
     grads: dict[tuple[int, str], np.ndarray] = {}
-    pending: dict[int, np.ndarray] = {}  # residual gradients by source layer; -1 is the input
+    pending: dict[int, np.ndarray] = {}  # residual gradients by source layer
     for i in range(len(tape.entries) - 1, -1, -1):
         if i in pending:
             g = g + pending.pop(i)
         layer, saved = tape.entries[i]
-        g, layer_grads = layer.backward(g, saved, pending)
-        for name, grad in layer_grads.items():
+        for name, grad in layer.grads(g, saved).items():
             grads[(i, name)] = grad
-    return grads, pending.pop(-1, 0.0) + g
+        if i:
+            g = layer.backward(g, saved, pending)
+    return grads
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -163,7 +164,7 @@ def train_denoiser(
         for clean, noisy in pairs:
             out, tape = forward_with_tape(net, noisy)
             loss, dpred = mse_loss(noisy.data + out.data, clean.data)
-            pg, _ = backward(tape, dpred)
+            pg = backward(tape, dpred)
             total += loss
             for key, val in pg.items():
                 acc[key] = acc.get(key, 0.0) + val

@@ -284,7 +284,7 @@ def directional_grad_check(net, x: PlanarImage, target: np.ndarray, rng, step: f
     one random parameter direction. Returns (relative_error, analytic, numeric)."""
     out, tape = forward_with_tape(net, x)
     _, dpred = mse_loss(out.data, target)
-    grads, _ = backward(tape, dpred)
+    grads = backward(tape, dpred)
 
     params = parameters(net)
     direction = {}

@@ -28,6 +28,7 @@ from rotprox import (
     relative_difference,
     rotate_image,
 )
+from rotprox import layers
 from rotprox.audit import SWEEP_RING_ORDERS
 from rotprox.layers import _BAND_BYTES, correlate_stack, group_conv, lift_conv
 from rotprox.synthetic import ring_stack, synthetic_image
@@ -156,6 +157,39 @@ class TestCorrelateProperty:
         got = correlate_stack(arr, weights)
         np.testing.assert_allclose(got, one_shot_correlate(arr, weights), rtol=1e-12, atol=1e-12)
         assert got.tobytes() == correlate_stack(arr, weights).tobytes()
+
+
+class TestConvReversePass:
+    # (kind, t, Cin, Cout, p, H, W, route of the reverse correlation): the reverse
+    # bank has t*Cout input slices, so p = 9 with more than one of them is FFT
+    CASES = [
+        ("lift", 4, 1, 2, 9, 20, 23, "fft"),
+        ("group_conv", 2, 2, 3, 9, 19, 21, "fft"),
+        ("group_conv", 1, 3, 1, 9, 18, 17, "im2col"),
+        ("lift", 3, 2, 1, 5, 13, 11, "im2col"),
+        ("group_conv", 4, 2, 2, 3, 12, 15, "im2col"),
+        ("group_conv", 3, 1, 2, 5, 10, 9, "im2col"),
+    ]
+
+    @pytest.mark.parametrize("kind, t, ci, co, p, h, w, route", CASES)
+    def test_input_gradient_is_adjoint_of_forward(self, monkeypatch, kind, t, ci, co, p, h, w, route):
+        rng = np.random.default_rng(t + ci + co + p + h)
+        basis = FourierBasis(p, (p - 1) // 2)
+        if kind == "lift":
+            layer = Lift(ci, co, t, basis, rng.standard_normal((co, ci, basis.size)))
+            x = PlanarImage(rng.standard_normal((h, w, ci)))
+        else:
+            layer = GroupConv(ci, co, basis, rng.standard_normal((co, ci, t, basis.size)))
+            x = GroupFeatureMap(rng.standard_normal((h, w, t, ci)))
+        out, saved = layer.record(x, {}, x)
+        g = rng.standard_normal(out.data.shape)
+        fft_calls = []
+        fft = layers._correlate_fft
+        monkeypatch.setattr(layers, "_correlate_fft", lambda *a: fft_calls.append(1) or fft(*a))
+        dx = layer.backward(g, saved, {})
+        assert dx.shape == x.data.shape
+        assert bool(fft_calls) == (route == "fft")
+        np.testing.assert_allclose(np.vdot(out.data, g), np.vdot(x.data, dx), rtol=1e-12)
 
 
 class TestForwardWorkingSet:

@@ -3,11 +3,13 @@ import pytest
 from support import (
     GRAD_CHECK_FAMILIES,
     directional_grad_check,
+    min_relu_gap,
     sample_grad_config,
 )
 
 from rotprox import (
     Adam,
+    Bias,
     FourierBasis,
     GroupSpec,
     Lift,
@@ -44,6 +46,19 @@ class TestGradients:
             net, x, target = sample_grad_config(family, rng)
             rel, analytic, numeric = directional_grad_check(net, x, target, rng)
             assert rel < 1e-4, (family, rel, analytic, numeric)
+
+    def test_fft_route_denoiser_directional_derivative(self):
+        # p = 9 group convs with several input slices take correlate_stack's FFT
+        # route in reverse; the sampled families stop at p = 5 (im2col)
+        rng = np.random.default_rng(49)
+        net = init_network(make_denoiser_net(2, channels=2, p=9, cutoff=4), seed=49)
+        for layer in net.layers:
+            if isinstance(layer, Bias):
+                layer.values[:] = 0.05 * rng.standard_normal(layer.values.shape)
+        xs = [PlanarImage(rng.standard_normal((16, 16, 1))) for _ in range(20)]
+        x = max(xs, key=lambda x: min_relu_gap(net, x))
+        rel, analytic, numeric = directional_grad_check(net, x, rng.standard_normal((16, 16, 1)), rng)
+        assert rel < 1e-4, (rel, analytic, numeric)
 
     def test_tape_single_use(self):
         net = init_network(make_denoiser_net(channels=2, p=3, cutoff=1), seed=46)
