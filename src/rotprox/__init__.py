@@ -28,7 +28,6 @@ from .filters import (
     basis_stack,
     bounds_from_coefficients,
     image_bounds,
-    sample_filter,
 )
 from .grids import (
     DegenerateReferenceError,

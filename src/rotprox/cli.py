@@ -1,7 +1,8 @@
 """Command-line front end: equivariance audits, restoration runs, training.
 
 Every subcommand reads an optional JSON config in which every field has a
-default and unknown keys are rejected, so a config diff is always meaningful.
+default and unknown keys are rejected, so a config diff is always meaningful; a
+value whose JSON type does not match its default's is rejected too.
 A single seed (config "seed", overridable with --seed) governs all random
 draws in a run. Exit codes: 0 pass, 1 check failure, 2 usage or config error.
 """
@@ -123,6 +124,12 @@ TRAIN_DEFAULTS = {
 }
 
 
+# JSON types a field admits, by the type of its default (None: checked where used)
+_ADMITS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,), dict: (dict,)}
+# fields with a second accepted form: audit angles are a count or a list of angles
+_ALSO_ADMITS = {"angles": (list,)}
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -146,12 +153,15 @@ def _merge(defaults: dict, given: dict, context: str) -> dict:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     cfg = {}
     for key, dv in defaults.items():
-        if key in given and isinstance(dv, dict) and given[key] is not None:
-            cfg[key] = _merge(dv, given[key], f"{context}.{key}")
-        elif key in given:
-            cfg[key] = given[key]
-        else:
+        if key not in given:
             cfg[key] = dict(dv) if isinstance(dv, dict) else dv
+            continue
+        value = given[key]
+        admits = () if dv is None else _ADMITS[type(dv)] + _ALSO_ADMITS.get(key, ())
+        if admits and type(value) not in admits:
+            names = " or ".join(t.__name__ for t in admits)
+            raise ConfigError(f"{context}.{key} must be of type {names}, got {value!r}")
+        cfg[key] = _merge(dv, value, f"{context}.{key}") if isinstance(dv, dict) else value
     return cfg
 
 
@@ -159,8 +169,8 @@ def _resolve(defaults: dict, args) -> dict:
     cfg = _merge(defaults, _load_config(args.config), "config")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    seed = cfg["seed"]  # an int: typed by the schema, or by argparse for --seed
+    if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return cfg
 
@@ -226,7 +236,7 @@ def _write_trace(path: Path, trace) -> None:
 
 def cmd_audit_equivariance(cfg: dict, out_dir: Path) -> int:
     t_list = cfg["t_list"]
-    if not isinstance(t_list, (list, tuple)) or not t_list:
+    if not t_list:
         raise ConfigError("t_list must be a nonempty list of group orders")
     angles = cfg["angles"]
     if not isinstance(angles, int):
@@ -320,7 +330,7 @@ def cmd_sr(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
-    if not isinstance(cfg["epochs"], int) or cfg["epochs"] < 0:
+    if cfg["epochs"] < 0:
         raise ConfigError(f"epochs must be a nonnegative integer, got {cfg['epochs']!r}")
     root = np.random.default_rng(cfg["seed"])
     data_seed, net_seed, noise_base = (int(s) for s in root.integers(2**31, size=3))

@@ -137,34 +137,6 @@ def basis_stack(basis: FourierBasis, theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ParamFilter:
-    """One continuous filter: a coefficient per basis function."""
-
-    basis: FourierBasis
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.shape != (self.basis.size,):
-            raise ValueError(
-                f"expected {self.basis.size} coefficients, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("non-finite filter coefficients")
-        coeffs = np.ascontiguousarray(coeffs)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-def sample_filter(f: ParamFilter, theta: float) -> np.ndarray:
-    """Tap array of the filter rotated by theta: taps[u,v] = phi(A_{-theta} x_uv)."""
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta}")
-    stack = basis_stack(f.basis, theta)
-    return np.tensordot(f.coefficients, stack, axes=([0], [0]))
-
-
-@dataclass(frozen=True)
 class SmoothnessBounds:
     """Rigorous sups: F >= sup|f|, G >= sup|grad f|, H >= sup|hess f| (spectral)."""
 

@@ -47,9 +47,10 @@ from .filters import FourierBasis, basis_stack, init_coefficients
 from .grids import GroupFeatureMap, GroupSpec, PlanarImage
 
 
-# Floor on one band's im2col patch matrix in _correlate_im2col. Row-blocked GEMMs
-# match the one-shot product bit for bit only while each block stays large
-# enough to take the same BLAS kernel, so bands are never made smaller than this.
+# Floor, in bytes, on one band's im2col patch matrix in _correlate_im2col.
+# Row-blocked GEMMs match one GEMM over the whole patch matrix (same K order) bit
+# for bit only while each block stays large enough to take the same BLAS kernel,
+# so bands are never made smaller than this.
 _BAND_BYTES = 8 * 2**20
 
 
@@ -68,9 +69,10 @@ def correlate_stack(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _correlate_im2col(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Banded im2col lowering: output rows are lowered a band at a time, and each
-    band is one GEMM over K = Cin*p*p in (Cin, u, v) order, written into the
-    matching rows of one preallocated output. When the full (H*W, K) patch
-    matrix holds n = bytes // ``_BAND_BYTES`` floors, there are
+    band is one GEMM over K = p*p*Cin in (u, v, Cin) order, written into the
+    matching rows of one preallocated output. The input is channels-last, so
+    each patch row is p runs of p*Cin contiguous values. When the full (H*W, K)
+    patch matrix holds n = bytes // ``_BAND_BYTES`` floors, there are
     ``H // ceil(H / n)`` bands of near-equal row count (one band when n <= 1),
     each at least ``ceil(H / n)`` rows, so every band's patch matrix holds at
     least ``_BAND_BYTES`` and no band is a sliver. The working set is one band's
@@ -80,12 +82,14 @@ def _correlate_im2col(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     p = weights.shape[1]
     m = (p - 1) // 2
-    padded = np.pad(arr, ((m, m), (m, m), (0, 0)))
-    win = sliding_window_view(padded, (p, p), axis=(0, 1))
-    h, w, k = arr.shape[0], arr.shape[1], arr.shape[2] * p * p
+    h, w, ci = arr.shape
+    padded = np.zeros((h + 2 * m, w + 2 * m, ci), dtype=arr.dtype)
+    padded[m : m + h, m : m + w] = arr
+    win = sliding_window_view(padded, (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)  # (H, W, u, v, Cin)
+    k = ci * p * p
     n = h * w * k * win.itemsize // _BAND_BYTES
     bands = h // -(-h // n) if n > 1 else 1
-    wk = weights.reshape(k, -1)
+    wk = weights.transpose(1, 2, 0, 3).reshape(k, -1)
     out = np.empty((h, w, wk.shape[1]), dtype=np.result_type(win, wk))
     edges = [i * h // bands for i in range(bands + 1)]
     for r0, r1 in zip(edges, edges[1:]):
@@ -164,15 +168,27 @@ def _flat(value) -> np.ndarray:
 
 
 def _conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np.ndarray:
-    pad = p // 2
-    h, wd = x_flat.shape[:2]
-    slices = x_flat.shape[2]
-    xp = np.pad(x_flat, ((pad, pad), (pad, pad), (0, 0)))
-    gm = g_flat.reshape(-1, g_flat.shape[2])
+    """(S, p, p, Co) tap gradient of a SAME correlation of (H, W, S) by a (S, p, p, Co) bank.
+
+    x is zero-padded to rows of Wp = W + 2m values (plus one spare row) and g is
+    zero-extended to Wp columns, both flattened over pixels. Tap (u, v) is then
+    one GEMM over a contiguous slice of x, starting u*Wp + v pixels in; the
+    extra columns meet a zero gradient.
+    """
+    m = p // 2
+    h, wd, slices = x_flat.shape
+    wp = wd + 2 * m
+    xp = np.zeros((h + 2 * m + 1, wp, slices), dtype=x_flat.dtype)
+    xp[m : m + h, m : m + wd] = x_flat
+    gp = np.zeros((h, wp, g_flat.shape[2]), dtype=g_flat.dtype)
+    gp[:, :wd] = g_flat
+    xf = xp.reshape(-1, slices)
+    gf = gp.reshape(-1, g_flat.shape[2])
     dw = np.empty((slices, p, p, g_flat.shape[2]))
     for u in range(p):
         for v in range(p):
-            dw[:, u, v, :] = xp[u : u + h, v : v + wd, :].reshape(-1, slices).T @ gm
+            o = u * wp + v
+            dw[:, u, v, :] = xf[o : o + h * wp].T @ gf
     return dw
 
 
@@ -498,7 +514,8 @@ class ResidualAdd(Layer):
         return type(value)(value.data + other.data, mesh=value.mesh)
 
     def backward(self, g, saved, pending):
-        pending[self.skip] = pending.get(self.skip, 0.0) + g
+        if self.skip >= 0:  # nothing reads the network-input gradient
+            pending[self.skip] = pending.get(self.skip, 0.0) + g
         return g
 
     def to_header(self) -> dict:

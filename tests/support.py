@@ -2,15 +2,18 @@
 
 Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
-a scipy.signal convolution, an unbanded one-GEMM correlation, a TV dual loop
-that recomputes and reallocates everything each iteration), so agreement is
-evidence rather than tautology.
+a scipy.signal convolution, an unbanded one-GEMM correlation, a per-tap
+strided-slice weight gradient, a TV dual loop that recomputes and reallocates
+everything each iteration), so agreement is evidence rather than tautology.
+It also holds the one-filter sampling API (``ParamFilter``, ``sample_filter``),
+which only the tests use.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -45,14 +48,43 @@ from rotprox.training import backward
 GRAD_CHECK_FAMILIES = ("plain_conv", "lift", "group_conv", "pooled", "residual")
 
 
+@dataclass(frozen=True)
+class ParamFilter:
+    """One continuous filter: a coefficient per basis function."""
+
+    basis: FourierBasis
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coefficients, dtype=np.float64)
+        if coeffs.shape != (self.basis.size,):
+            raise ValueError(
+                f"expected {self.basis.size} coefficients, got shape {coeffs.shape}"
+            )
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("non-finite filter coefficients")
+        coeffs = np.ascontiguousarray(coeffs)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coefficients", coeffs)
+
+
+def sample_filter(f: ParamFilter, theta: float) -> np.ndarray:
+    """Tap array of the filter rotated by theta: taps[u,v] = phi(A_{-theta} x_uv)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
+    stack = basis_stack(f.basis, theta)
+    return np.tensordot(f.coefficients, stack, axes=([0], [0]))
+
+
 @dataclass
 class PlainConv:
     """Ordinary (non-equivariant) planar convolution, as an oracle for t=1 nets.
 
     It implements the forward half of the layer protocol (check, reads,
-    forward, params, init) and shares no convolution code with the library:
-    the taps coeffs . basis_stack(basis, 0) are correlated channel pair by
-    channel pair with scipy.signal, zero padding, SAME size.
+    forward, params, init) plus what a first layer needs of the reverse half
+    (record, grads), and shares no convolution code with the library: the taps
+    coeffs . basis_stack(basis, 0) are correlated channel pair by channel pair
+    with scipy.signal, zero padding, SAME size.
     """
 
     in_channels: int
@@ -90,6 +122,20 @@ class PlainConv:
                 out[:, :, o] += scipy.signal.correlate2d(plane, taps[o, i], mode="same")
         return PlanarImage(out, mesh=value.mesh)
 
+    def record(self, value, activations, x0):
+        return self.forward(value, activations, x0), value.data
+
+    def grads(self, g, saved):
+        m = self.basis.filter_size // 2
+        xp = np.pad(saved, ((m, m), (m, m), (0, 0)))
+        dtaps = np.array(
+            [
+                [scipy.signal.correlate2d(xp[:, :, i], g[:, :, o], mode="valid") for i in range(self.in_channels)]
+                for o in range(self.out_channels)
+            ]
+        )
+        return {"coeffs": np.tensordot(dtaps, basis_stack(self.basis, 0.0), axes=([2, 3], [1, 2]))}
+
 
 def make_plain_net(seed: int = 0, channels: int = 4, n_conv: int = 3, p: int = 5, cutoff: int = 2):
     """PlainConv chain wired like make_audit_net, without the orientation fiber.
@@ -115,6 +161,24 @@ def one_shot_correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     m = (p - 1) // 2
     win = sliding_window_view(np.pad(arr, ((m, m), (m, m), (0, 0))), (p, p), axis=(0, 1))
     return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
+
+
+def strided_conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np.ndarray:
+    """(S, p, p, Co) tap gradient of a SAME correlation, one GEMM per tap over a
+    strided (H, W, S) slice of the zero-padded input.
+
+    The per-tap strided-copy route, as an oracle for the library's weight gradient.
+    """
+    pad = p // 2
+    h, wd = x_flat.shape[:2]
+    slices = x_flat.shape[2]
+    xp = np.pad(x_flat, ((pad, pad), (pad, pad), (0, 0)))
+    gm = g_flat.reshape(-1, g_flat.shape[2])
+    dw = np.empty((slices, p, p, g_flat.shape[2]))
+    for u in range(p):
+        for v in range(p):
+            dw[:, u, v, :] = xp[u : u + h, v : v + wd, :].reshape(-1, slices).T @ gm
+    return dw
 
 
 def with_eqck_header(blob: bytes, header) -> bytes:

@@ -164,6 +164,20 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"image_size": 12, "steps": 1, key: value})
         self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, key)
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("denoise", "image_size", "64"),
+            ("denoise", "mesh", "x"),
+            ("denoise", "sigma", "a"),
+            ("sr", "mesh", "x"),
+            ("train", "lr", "a"),
+        ],
+    )
+    def test_value_of_wrong_type(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, {key: value})
+        self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, key)
+
     def test_empty_t_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t_list": []})
         self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")

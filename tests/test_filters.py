@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from support import ParamFilter, sample_filter
 
-from rotprox import FourierBasis, bounds_from_coefficients, image_bounds, sample_filter
+from rotprox import FourierBasis, bounds_from_coefficients, image_bounds
 from rotprox.filters import (
-    ParamFilter,
     basis_stack,
     evaluate_basis,
     frequency_pairs,

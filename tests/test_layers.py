@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import PlainConv, make_plain_net, one_shot_correlate
+from support import (
+    PlainConv,
+    directional_grad_check,
+    make_plain_net,
+    one_shot_correlate,
+    strided_conv_backward_weights,
+)
 
 from rotprox import (
     Bias,
@@ -32,6 +38,7 @@ from rotprox import layers
 from rotprox.audit import SWEEP_RING_ORDERS
 from rotprox.layers import _BAND_BYTES, correlate_stack, group_conv, lift_conv
 from rotprox.synthetic import ring_stack, synthetic_image
+from rotprox.training import backward, forward_with_tape, mse_loss
 
 
 def correlate_reference(arr, weights):
@@ -192,6 +199,47 @@ class TestConvReversePass:
         np.testing.assert_allclose(np.vdot(out.data, g), np.vdot(x.data, dx), rtol=1e-12)
 
 
+class TestWeightGradient:
+    """The copy-free weight gradient against the per-tap strided-slice oracle."""
+
+    # (H, W, S, Co, p): non-square, p from 1 to 9, one input slice or one output channel
+    SHAPES = [
+        (7, 11, 3, 2, 1),
+        (9, 6, 1, 4, 3),
+        (12, 17, 5, 1, 3),
+        (13, 10, 4, 3, 5),
+        (10, 19, 1, 1, 5),
+        (16, 11, 6, 2, 9),
+        (8, 9, 2, 1, 9),
+    ]
+    # train and restore conv shapes, (H, W, S, Co, p)
+    BENCH_SHAPES = [
+        (32, 32, 16, 16, 5),
+        (32, 32, 16, 4, 5),
+        (32, 32, 4, 16, 5),
+        (64, 64, 16, 16, 5),
+        (64, 64, 16, 4, 5),
+    ]
+
+    @pytest.mark.parametrize("h, w, s, co, p", SHAPES + BENCH_SHAPES)
+    def test_matches_strided_oracle(self, h, w, s, co, p):
+        rng = np.random.default_rng(h * w + s + co + p)
+        x = rng.standard_normal((h, w, s))
+        g = rng.standard_normal((h, w, co))
+        got = layers._conv_backward_weights(x, g, p)
+        assert got.shape == (s, p, p, co)
+        np.testing.assert_allclose(got, strided_conv_backward_weights(x, g, p), rtol=1e-12, atol=1e-12)
+        assert got.tobytes() == layers._conv_backward_weights(x, g, p).tobytes()
+
+    @pytest.mark.parametrize("h, w, s, co, p", BENCH_SHAPES)
+    def test_bench_shape_forward_matches_one_shot_gemm(self, h, w, s, co, p):
+        rng = np.random.default_rng(h + s + co)
+        arr = rng.standard_normal((h, w, s))
+        weights = rng.standard_normal((s, p, p, co))
+        got = correlate_stack(arr, weights)
+        np.testing.assert_allclose(got, one_shot_correlate(arr, weights), rtol=1e-12, atol=1e-12)
+
+
 class TestForwardWorkingSet:
     def test_sweep_forward_keeps_no_spent_activations(self):
         # t=24 sweep net at 128^2: each feature map is 9 MiB, and no layer reads
@@ -284,6 +332,28 @@ class TestLayerSemantics:
         out = forward(net, x)
         body = forward(NetworkSpec([conv]), x)
         np.testing.assert_allclose(out.data, body.data + x.data, atol=1e-15)
+
+    def test_residual_to_input_gradient(self):
+        # the residual leaves nothing for the network input, whose gradient no one reads,
+        # and its net's parameter gradient is the body's with the target shifted by x
+        basis = FourierBasis(3, 1)
+        rng = np.random.default_rng(9)
+        conv = PlainConv(1, 1, basis, rng.standard_normal((1, 1, basis.size)))
+        net = NetworkSpec([conv, ResidualAdd(skip=-1)])
+        x = synthetic_image(8, 4)
+        target = rng.standard_normal((8, 8, 1))
+        g = rng.standard_normal((8, 8, 1))
+        pending = {}
+        assert ResidualAdd(skip=-1).backward(g, None, pending) is g
+        assert pending == {}
+        out, tape = forward_with_tape(net, x)
+        grads = backward(tape, mse_loss(out.data, target)[1])
+        body, tape = forward_with_tape(NetworkSpec([conv]), x)
+        expected = backward(tape, mse_loss(body.data, target - x.data)[1])
+        assert grads.keys() == expected.keys() == {(0, "coeffs")}
+        np.testing.assert_allclose(grads[(0, "coeffs")], expected[(0, "coeffs")], rtol=1e-12)
+        rel, _, _ = directional_grad_check(net, x, target, rng)
+        assert rel < 1e-6
 
     def test_residual_to_recorded_activation(self):
         basis = FourierBasis(3, 1)
