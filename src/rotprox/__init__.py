@@ -78,7 +78,6 @@ from .solver import (
     psnr,
 )
 from .synthetic import (
-    ring_image,
     ring_stack,
     sample_field,
     synthetic_field,

@@ -164,7 +164,6 @@ class EquivarianceReport:
     t: int
     p: int
     N: int
-    seed: int
 
     @property
     def max_error(self) -> float:
@@ -239,7 +238,6 @@ def measure_equivariance(
         t=net.group.order,
         p=max((l.basis.filter_size for l in convs), default=0),
         N=len(convs),
-        seed=seed,
     )
 
 
@@ -274,32 +272,23 @@ def order_sweep(
 
 def refinement_errors(
     p_list: Sequence[int] = (5, 9, 17),
-    t: int = 8,
-    theta: float = 2.0 * math.pi / 8.0,
-    channels: int = 4,
-    cutoff: int = 1,
-    seed: int = 0,
     image_count: int = 3,
     base_size: int = 32,
-    base_mesh: float = 0.25,
-    n_patches: int = 4,
 ) -> list[float]:
     """Single-layer equivariance error under mesh refinement at fixed physical support.
 
-    One continuous filter bank (coefficients shared across p) and one continuous
-    image field are sampled at meshes scaled so the p-tap footprint (p-1)*h stays
-    fixed; each doubling of taps halves the mesh. At a group angle the orientation
-    term drops out and the remaining error is the quadratic sampling term.
+    One continuous filter bank (4 channels, cutoff 1, coefficients shared across
+    p, seed 0) and continuous 4-patch image fields are sampled at meshes scaled
+    so the p-tap footprint (p-1)*h stays fixed: p_list[0] taps at mesh 0.25, and
+    each doubling of taps halves the mesh. At the group angle 2*pi/8 of t = 8 the
+    orientation term drops out, leaving the quadratic sampling term.
     """
+    t, channels, cutoff, base_mesh = 8, 4, 1, 0.25
     base_p = p_list[0]
     nb = FourierBasis(base_p, cutoff).size
-    rng = np.random.default_rng(seed)
-    coeffs = init_coefficients(rng, (channels, 1, nb), 1, base_p)
+    coeffs = init_coefficients(np.random.default_rng(0), (channels, 1, nb), 1, base_p)
     radius = base_size * base_mesh / 2.0
-    fields = [
-        synthetic_field(s, radius, n_patches=n_patches)
-        for s in np.random.SeedSequence(seed).spawn(image_count)
-    ]
+    fields = [synthetic_field(s, radius, n_patches=4) for s in np.random.SeedSequence(0).spawn(image_count)]
     means = []
     for p in p_list:
         if (p - 1) % (base_p - 1):
@@ -312,7 +301,7 @@ def refinement_errors(
             [Lift(1, channels, t, FourierBasis(p, cutoff), coeffs), OrientationPool()],
             GroupSpec(t),
         )
-        report = measure_equivariance(net, images, angles=[theta])
+        report = measure_equivariance(net, images, angles=[2.0 * math.pi / t])
         means.append(report.mean_error)
     return means
 

@@ -124,10 +124,13 @@ TRAIN_DEFAULTS = {
 }
 
 
-# JSON types a field admits, by the type of its default (None: checked where used)
-_ADMITS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,), dict: (dict,)}
-# fields with a second accepted form: audit angles are a count or a list of angles
-_ALSO_ADMITS = {"angles": (list,)}
+# JSON types a field admits, by the type of its default
+_ADMITS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,), dict: (dict,),
+           type(None): (type(None),)}
+# fields with a second accepted form: audit angles are a count or a list of angles,
+# and a null default stands for an unset path or step size
+_ALSO_ADMITS = {"angles": (list,), "step_size": (int, float),
+                **dict.fromkeys(("input", "ground_truth", "image", "checkpoint"), (str,))}
 
 
 def _load_config(path) -> dict:
@@ -157,9 +160,9 @@ def _merge(defaults: dict, given: dict, context: str) -> dict:
             cfg[key] = dict(dv) if isinstance(dv, dict) else dv
             continue
         value = given[key]
-        admits = () if dv is None else _ADMITS[type(dv)] + _ALSO_ADMITS.get(key, ())
-        if admits and type(value) not in admits:
-            names = " or ".join(t.__name__ for t in admits)
+        admits = _ADMITS[type(dv)] + _ALSO_ADMITS.get(key, ())
+        if type(value) not in admits:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in admits)
             raise ConfigError(f"{context}.{key} must be of type {names}, got {value!r}")
         cfg[key] = _merge(dv, value, f"{context}.{key}") if isinstance(dv, dict) else value
     return cfg
@@ -285,32 +288,10 @@ def cmd_audit_regularizers(cfg: dict, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-def cmd_denoise(cfg: dict, out_dir: Path) -> int:
+def _restore(cfg: dict, out_dir: Path, op, stem: str) -> int:
+    # cfg["mesh"] is the solution's mesh; the observation grid is coarser by op.scale.
     if cfg["input"] is not None:
-        y = _read_image(cfg["input"], cfg["mesh"])
-        truth = _read_image(cfg["ground_truth"], cfg["mesh"]) if cfg["ground_truth"] else None
-    else:
-        clean = synthetic_image(cfg["image_size"], cfg["seed"], mesh=cfg["mesh"])
-        y = degrade(Identity(), clean, cfg["sigma"], cfg["seed"])
-        truth = clean
-    run = UnfoldingConfig(steps=cfg["steps"], step_size=cfg["step_size"], prox=_build_prox(cfg["prox"]))
-    try:
-        xhat, _ = ista_solve(y, Identity(), run)
-    except SolverDivergence as exc:
-        print(f"solver diverged at step {exc.step}", file=sys.stderr)
-        return 1
-    path = _write_image(out_dir, "denoised", cfg["format"], xhat, cfg["input"])
-    print(f"wrote: {path}")
-    if truth is not None:
-        _print_psnr(xhat, truth)
-    return 0
-
-
-def cmd_sr(cfg: dict, out_dir: Path) -> int:
-    op = BlurDownsample(gaussian_kernel(cfg["kernel"]["size"], cfg["kernel"]["sigma"]), cfg["scale"])
-    # cfg["mesh"] is the high-resolution mesh; the observation grid is coarser by `scale`.
-    if cfg["input"] is not None:
-        y = _read_image(cfg["input"], cfg["mesh"] * cfg["scale"])
+        y = _read_image(cfg["input"], cfg["mesh"] * op.scale)
         truth = _read_image(cfg["ground_truth"], cfg["mesh"]) if cfg["ground_truth"] else None
     else:
         clean = synthetic_image(cfg["image_size"], cfg["seed"], mesh=cfg["mesh"])
@@ -322,11 +303,20 @@ def cmd_sr(cfg: dict, out_dir: Path) -> int:
     except SolverDivergence as exc:
         print(f"solver diverged at step {exc.step}", file=sys.stderr)
         return 1
-    path = _write_image(out_dir, "restored", cfg["format"], xhat, cfg["input"])
+    path = _write_image(out_dir, stem, cfg["format"], xhat, cfg["input"])
     print(f"wrote: {path}")
     if truth is not None:
         _print_psnr(xhat, truth)
     return 0
+
+
+def cmd_denoise(cfg: dict, out_dir: Path) -> int:
+    return _restore(cfg, out_dir, Identity(), "denoised")
+
+
+def cmd_sr(cfg: dict, out_dir: Path) -> int:
+    op = BlurDownsample(gaussian_kernel(cfg["kernel"]["size"], cfg["kernel"]["sigma"]), cfg["scale"])
+    return _restore(cfg, out_dir, op, "restored")
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:

@@ -50,7 +50,9 @@ from .grids import GroupFeatureMap, GroupSpec, PlanarImage
 # Floor, in bytes, on one band's im2col patch matrix in _correlate_im2col.
 # Row-blocked GEMMs match one GEMM over the whole patch matrix (same K order) bit
 # for bit only while each block stays large enough to take the same BLAS kernel,
-# so bands are never made smaller than this.
+# so bands are never made smaller than this. The promise does not hold for a
+# one-column weight matrix (Cout = 1, a GEMV): there the banded output can differ
+# in low bits, e.g. at (H, W, Cin, p) = (91, 75, 32, 5) with 4 bands.
 _BAND_BYTES = 8 * 2**20
 
 
@@ -652,7 +654,6 @@ def make_audit_net(
     p: int = 5,
     cutoff: int = 2,
     seed: int = 0,
-    in_channels: int = 1,
 ) -> NetworkSpec:
     """Lift -> (Bias, ReLU, GroupConv) x (n_conv - 1) -> OrientationPool, random weights."""
     if n_conv < 1:
@@ -660,7 +661,7 @@ def make_audit_net(
     basis = FourierBasis(p, cutoff)
     group = GroupSpec(t)
     nb = basis.size
-    layers: list = [Lift(in_channels, channels, t, basis, np.zeros((channels, in_channels, nb)))]
+    layers: list = [Lift(1, channels, t, basis, np.zeros((channels, 1, nb)))]
     for _ in range(n_conv - 1):
         layers.append(Bias(np.zeros(channels)))
         layers.append(ReLU())
@@ -673,8 +674,6 @@ def make_sweep_net(
     t: int,
     channels: int = 3,
     seed: int = 0,
-    in_channels: int = 1,
-    master_order: int = 24,
 ) -> NetworkSpec:
     """Audit net for group-order sweeps: the filter bandwidth widens with depth
     (cutoff 2 lift, then two cutoff-4 group convs) so the cascade's compounded
@@ -682,23 +681,23 @@ def make_sweep_net(
     nets are blind to the gap between large t values; this family is not.
 
     For a fixed seed, nets at different t share their coefficient draws: group
-    conv coefficients are drawn once at `master_order` orientation offsets and
-    each t keeps the offsets on its own angle grid. Sweeps across t then compare
-    structurally nested nets instead of independent random draws, which removes
-    most net-to-net jitter from the comparison. Requires t to divide
-    master_order; any other t falls back to independent draws.
+    conv coefficients are drawn once at 24 orientation offsets (the master
+    order) and each t keeps the offsets on its own angle grid. Sweeps across t
+    then compare structurally nested nets instead of independent random draws,
+    which removes most net-to-net jitter from the comparison. Requires t to
+    divide 24; any other t falls back to independent draws.
     """
     b_lift = FourierBasis(5, 2)
     b_deep = FourierBasis(9, 4)
     group = GroupSpec(t)
     c = channels
     rng = np.random.default_rng(seed)
-    lift_coeffs = init_coefficients(rng, (c, in_channels, b_lift.size), in_channels, 5)
-    lift = Lift(in_channels, c, t, b_lift, lift_coeffs)  # rejects channels < 1 before the t * c fan-in below
-    if master_order % t == 0:
-        gc_shape = (c, c, master_order, b_deep.size)
-        gc1 = init_coefficients(rng, gc_shape, t * c, 9)[:, :, :: master_order // t, :]
-        gc2 = init_coefficients(rng, gc_shape, t * c, 9)[:, :, :: master_order // t, :]
+    lift_coeffs = init_coefficients(rng, (c, 1, b_lift.size), 1, 5)
+    lift = Lift(1, c, t, b_lift, lift_coeffs)  # rejects channels < 1 before the t * c fan-in below
+    if 24 % t == 0:
+        gc_shape = (c, c, 24, b_deep.size)
+        gc1 = init_coefficients(rng, gc_shape, t * c, 9)[:, :, :: 24 // t, :]
+        gc2 = init_coefficients(rng, gc_shape, t * c, 9)[:, :, :: 24 // t, :]
     else:
         gc1 = init_coefficients(rng, (c, c, t, b_deep.size), t * c, 9)
         gc2 = init_coefficients(rng, (c, c, t, b_deep.size), t * c, 9)
@@ -721,16 +720,17 @@ def make_denoiser_net(
     p: int = 5,
     cutoff: int = 2,
     seed: int = 0,
-    in_channels: int = 1,
 ) -> NetworkSpec:
-    """Residual-block equivariant denoiser body; final conv zero-init so the
-    NeuralProx wrapper (identity + correction) starts as the identity map."""
+    """Residual-block equivariant denoiser body, one channel in and out; final conv
+    zero-init so the NeuralProx wrapper (identity + correction) starts as the
+    identity map. ``init_network`` redraws that conv too, so a net passed through
+    it (as by ``rotprox train``) does not start as the identity."""
     basis = FourierBasis(p, cutoff)
     group = GroupSpec(t)
     nb = basis.size
     c = channels
     layers: list = [
-        Lift(in_channels, c, t, basis, np.zeros((c, in_channels, nb))),
+        Lift(1, c, t, basis, np.zeros((c, 1, nb))),
         Bias(np.zeros(c)),
         ReLU(),
         GroupConv(c, c, basis, np.zeros((c, c, t, nb))),
@@ -740,7 +740,7 @@ def make_denoiser_net(
         ResidualAdd(skip=2),
         Bias(np.zeros(c)),
         ReLU(),
-        GroupConv(c, in_channels, basis, np.zeros((in_channels, c, t, nb))),
+        GroupConv(c, 1, basis, np.zeros((1, c, t, nb))),
         OrientationPool(),
     ]
     net = init_network(NetworkSpec(layers, group), seed)

@@ -1,14 +1,15 @@
-"""Seeded procedural test images: sums of oriented Gabor patches.
+"""Seeded procedural test images: oriented Gabor patches and azimuthal rings.
 
 Fields are continuous functions evaluated on pixel grids, so one seed defines the
 same physical image at any resolution (needed by the mesh-refinement audit).
-The optional disk taper confines content to a centered disk that rotations of the
-frame map into itself, keeping rotation audits free of frame-boundary artifacts.
+Both field kinds are normalized to a peak |value| of 1 and tapered to a centered
+disk that rotations of the frame map into itself, keeping rotation audits free of
+frame-boundary artifacts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,22 +29,47 @@ def _smoothfall(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GaborField:
-    """Continuous sum of oriented Gabor patches on the disk of radius `domain_radius`."""
+class _DiskField:
+    """A continuous field on the disk of radius `domain_radius`: the subclass's
+    terms, times `scale`, times the disk taper."""
 
     domain_radius: float
+    scale: float
+
+    def __post_init__(self):
+        if not 0.0 < self.domain_radius < np.inf:
+            raise ValueError(f"domain radius must be positive and finite, got {self.domain_radius}")
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        r = np.hypot(x, y)
+        out = self._terms(x, y, r)
+        out *= self.scale
+        return out * _smoothfall(r, _DISK_INNER * self.domain_radius, _DISK_OUTER * self.domain_radius)
+
+
+def _normalized(field: _DiskField) -> _DiskField:
+    """`field` rescaled to a max |value| of 1 on a fixed 257x257 probe grid, so
+    the scale does not depend on the resolution the field is later sampled at."""
+    probe = np.linspace(-field.domain_radius, field.domain_radius, 257)
+    px, py = np.meshgrid(probe, probe, indexing="xy")
+    peak = float(np.max(np.abs(field(px, py))))
+    return field if peak == 0.0 else replace(field, scale=1.0 / peak)
+
+
+@dataclass(frozen=True)
+class GaborField(_DiskField):
+    """Continuous sum of oriented Gabor patches."""
+
     centers: np.ndarray      # (n, 2) physical (x, y)
     orientations: np.ndarray  # (n,) radians
     wavelengths: np.ndarray   # (n,) physical units
     sigmas: np.ndarray        # (n, 2) envelope widths along/across the orientation
     phases: np.ndarray        # (n,)
     amplitudes: np.ndarray    # (n,)
-    scale: float = 1.0
-    disk: bool = True
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+    def _terms(self, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
         for k in range(len(self.amplitudes)):
             ca, sa = np.cos(self.orientations[k]), np.sin(self.orientations[k])
@@ -57,189 +83,100 @@ class GaborField:
             out += self.amplitudes[k] * envelope * np.cos(
                 2.0 * np.pi * s1 / self.wavelengths[k] + self.phases[k]
             )
-        out *= self.scale
-        if self.disk:
-            r = np.hypot(x, y)
-            out = out * _smoothfall(r, _DISK_INNER * self.domain_radius, _DISK_OUTER * self.domain_radius)
         return out
 
 
-def synthetic_field(
-    seed: int,
-    domain_radius: float,
-    n_patches: int = 8,
-    disk: bool = True,
-    amplitude: float = 1.0,
-) -> GaborField:
-    """Draw a seeded Gabor field, normalized so the max |value| is ~`amplitude`.
-
-    Normalization uses a fixed 257x257 probe grid, so it does not depend on the
-    resolution the field is later sampled at.
-    """
+def synthetic_field(seed: int, domain_radius: float, n_patches: int = 8) -> GaborField:
+    """Draw a seeded, normalized field of `n_patches` Gabor patches."""
     rng = np.random.default_rng(seed)
     r = domain_radius
     n = n_patches
     radii = 0.55 * r * np.sqrt(rng.uniform(0.0, 1.0, n))
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
     centers = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    field = GaborField(
+    return _normalized(GaborField(
         domain_radius=r,
+        scale=1.0,
         centers=centers,
         orientations=rng.uniform(0.0, np.pi, n),
         wavelengths=rng.uniform(0.45, 0.80, n) * r,
         sigmas=rng.uniform(0.25, 0.45, (n, 2)) * r,
         phases=rng.uniform(0.0, 2.0 * np.pi, n),
         amplitudes=rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n),
-        scale=1.0,
-        disk=disk,
-    )
-    probe = np.linspace(-r, r, 257)
-    px, py = np.meshgrid(probe, probe, indexing="xy")
-    peak = float(np.max(np.abs(field(px, py))))
-    if peak == 0.0:
-        return field
-    return GaborField(
-        domain_radius=field.domain_radius,
-        centers=field.centers,
-        orientations=field.orientations,
-        wavelengths=field.wavelengths,
-        sigmas=field.sigmas,
-        phases=field.phases,
-        amplitudes=field.amplitudes,
-        scale=amplitude / peak,
-        disk=disk,
-    )
+    ))
 
 
 @dataclass(frozen=True)
-class RingField:
-    """Azimuthal harmonics on Gaussian radial rings, tapered to zero at the rim.
+class RingField(_DiskField):
+    """Azimuthal harmonics on Gaussian radial rings.
 
     Each term is amp * exp(-((r - r0)/sig)^2 / 2) * cos(m*phi + psi). Ring radii
     grow with the harmonic order m so the tangential wavelength 2*pi*r0/m stays
-    near `tangential_wavelength`: high angular frequencies live far from center,
+    near domain_radius / 5: high angular frequencies live far from center,
     where they are locally smooth. Rotation audits need exactly that: content
     that resolves fine group orders without pixel-scale gradients.
     """
 
-    domain_radius: float
     orders: np.ndarray      # (n,) angular harmonic m of each ring
     radii: np.ndarray       # (n,) ring center radius
     widths: np.ndarray      # (n,) radial Gaussian sigma
     phases: np.ndarray      # (n,)
     amplitudes: np.ndarray  # (n,)
-    scale: float = 1.0
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        r = np.hypot(x, y)
+    def _terms(self, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         phi = np.arctan2(y, x)
         out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
         for k in range(len(self.orders)):
             radial = np.exp(-0.5 * ((r - self.radii[k]) / self.widths[k]) ** 2)
             out += self.amplitudes[k] * radial * np.cos(self.orders[k] * phi + self.phases[k])
-        out *= self.scale
-        return out * _smoothfall(r, _DISK_INNER * self.domain_radius, _DISK_OUTER * self.domain_radius)
+        return out
 
 
-def ring_field(
-    seed: int,
-    domain_radius: float,
-    orders=(3, 5, 8, 12, 16, 21, 26),
-    tangential_wavelength: float | None = None,
-    amplitude: float = 1.0,
-) -> RingField:
-    """Draw a seeded ring field; wavelength defaults to domain_radius / 5."""
+def ring_field(seed: int, domain_radius: float, orders) -> RingField:
+    """Draw a seeded, normalized ring field with one ring per harmonic order."""
     rng = np.random.default_rng(seed)
     rr = domain_radius
-    lam = rr / 5.0 if tangential_wavelength is None else tangential_wavelength
+    lam = rr / 5.0
     orders = np.asarray(orders, dtype=np.int64)
     radii = np.clip(orders * lam / (2.0 * np.pi), 0.18 * rr, 0.76 * rr)
     # mild spectral decay: natural angular spectra fall off with order, and a
     # decaying mix keeps coarse group orders from being out-shouted by fine ones
     decay = (orders / max(orders.min(), 1)) ** -0.5
-    field = RingField(
+    return _normalized(RingField(
         domain_radius=rr,
+        scale=1.0,
         orders=orders,
         radii=radii,
         widths=np.full(orders.shape, 0.5 * lam),
         phases=rng.uniform(0.0, 2.0 * np.pi, orders.shape[0]),
         amplitudes=rng.uniform(0.6, 1.0, orders.shape[0]) * decay,
-        scale=1.0,
-    )
-    probe = np.linspace(-rr, rr, 257)
-    px, py = np.meshgrid(probe, probe, indexing="xy")
-    peak = float(np.max(np.abs(field(px, py))))
-    if peak == 0.0:
-        return field
-    return RingField(
-        domain_radius=field.domain_radius,
-        orders=field.orders,
-        radii=field.radii,
-        widths=field.widths,
-        phases=field.phases,
-        amplitudes=field.amplitudes,
-        scale=amplitude / peak,
-    )
+    ))
 
 
-def ring_image(size: int, seed: int, mesh: float, **kwargs) -> PlanarImage:
-    """Seeded ring-field image on a size x size grid (see ring_field)."""
-    field = ring_field(seed, domain_radius=(size / 2.0) * mesh, **kwargs)
-    return sample_field(field, size, size, mesh)
-
-
-def ring_stack(count: int, size: int, seed: int, mesh: float, **kwargs) -> list[PlanarImage]:
+def ring_stack(count: int, size: int, seed: int, mesh: float, *, orders) -> list[PlanarImage]:
+    """Seeded size x size ring-field images; image i uses child seed i of `seed`."""
+    radius = (size / 2.0) * mesh
     seeds = np.random.SeedSequence(seed).spawn(count)
-    return [ring_image(size, s, mesh, **kwargs) for s in seeds]
+    return [sample_field(ring_field(s, radius, orders), size, size, mesh) for s in seeds]
 
 
-def sample_field(field, height: int, width: int, mesh: float, offset: float = 0.0) -> PlanarImage:
+def sample_field(field, height: int, width: int, mesh: float) -> PlanarImage:
     """Evaluate a continuous field on a centered pixel grid (y axis against rows)."""
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     ii, jj = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     x = (jj - cx) * mesh
     y = (cy - ii) * mesh
-    return PlanarImage(field(x, y)[:, :, None] + offset, mesh=mesh)
+    # + 0.0 turns the taper's -0.0 samples into +0.0, which keeps image bytes stable
+    return PlanarImage(field(x, y)[:, :, None] + 0.0, mesh=mesh)
 
 
-def synthetic_image(
-    size: int,
-    seed: int,
-    mesh: float = 1.0,
-    n_patches: int = 8,
-    disk: bool = True,
-    amplitude: float = 1.0,
-    offset: float = 0.0,
-) -> PlanarImage:
+def synthetic_image(size: int, seed: int, mesh: float = 1.0) -> PlanarImage:
     """Seeded size x size single-channel test image."""
-    radius = size * mesh / 2.0
-    field = synthetic_field(seed, radius, n_patches=n_patches, disk=disk, amplitude=amplitude)
-    return sample_field(field, size, size, mesh, offset=offset)
+    field = synthetic_field(seed, size * mesh / 2.0)
+    return sample_field(field, size, size, mesh)
 
 
-def synthetic_stack(
-    count: int,
-    size: int,
-    seed: int,
-    mesh: float = 1.0,
-    n_patches: int = 8,
-    disk: bool = True,
-    amplitude: float = 1.0,
-    offset: float = 0.0,
-) -> list[PlanarImage]:
+def synthetic_stack(count: int, size: int, seed: int, mesh: float = 1.0) -> list[PlanarImage]:
     """Deterministic list of images; image i uses child seed i of `seed`."""
     children = np.random.SeedSequence(seed).spawn(count)
-    return [
-        synthetic_image(
-            size,
-            child,
-            mesh=mesh,
-            n_patches=n_patches,
-            disk=disk,
-            amplitude=amplitude,
-            offset=offset,
-        )
-        for child in children
-    ]
+    return [synthetic_image(size, child, mesh=mesh) for child in children]

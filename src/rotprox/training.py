@@ -97,24 +97,22 @@ class SGD:
 @dataclass
 class Adam:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     state: dict = field(default_factory=dict)
 
     def apply(self, net: NetworkSpec, grads: dict[tuple[int, str], np.ndarray]) -> None:
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         for idx, name, arr in parameters(net):
             g = grads.get((idx, name))
             if g is None:
                 continue
             m, v, step = self.state.get((idx, name), (np.zeros_like(arr), np.zeros_like(arr), 0))
             step += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g**2
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g**2
             self.state[(idx, name)] = (m, v, step)
-            m_hat = m / (1.0 - self.beta1**step)
-            v_hat = v / (1.0 - self.beta2**step)
-            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m_hat = m / (1.0 - beta1**step)
+            v_hat = v / (1.0 - beta2**step)
+            arr -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 class TrainingDivergence(RuntimeError):

@@ -328,7 +328,7 @@ class TestEmit:
             emit_report([], tmp_path / "x.csv")
         hollow = EquivarianceReport(
             errors=(), mean_error=0.0, bound=None, bound_satisfied=None,
-            crop=0, t=1, p=3, N=1, seed=0,
+            crop=0, t=1, p=3, N=1,
         )
         with pytest.raises(ValueError, match="empty angle list"):
             emit_report([hollow], tmp_path / "x.csv")

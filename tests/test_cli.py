@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -172,11 +173,25 @@ class TestConfigErrors:
             ("denoise", "sigma", "a"),
             ("sr", "mesh", "x"),
             ("train", "lr", "a"),
+            ("denoise", "input", 5),
+            ("denoise", "ground_truth", 5),
+            ("audit-regularizers", "image", 5),
+            ("denoise", "prox", {"kind": "neural", "checkpoint": 5}),
         ],
     )
     def test_value_of_wrong_type(self, tmp_path, capsys, command, key, value):
         cfg = write_config(tmp_path, {key: value})
         self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, key)
+
+    @pytest.mark.parametrize("command", ["audit-equivariance", "audit-regularizers", "denoise", "sr", "train"])
+    @pytest.mark.parametrize("key, value", [("image_size", 0), ("mesh", 0.0)])
+    def test_empty_image_domain(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, {key: value})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, "domain radius")
+        assert "Warning" not in err
+        assert not caught, [str(w.message) for w in caught]
 
     def test_empty_t_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t_list": []})
