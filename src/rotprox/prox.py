@@ -204,6 +204,7 @@ def neural_prox(x: PlanarImage, net: NetworkSpec) -> PlanarImage:
 @dataclass(frozen=True)
 class SoftThreshold:
     weight: float
+    crop = 0  # pointwise: no border to exclude from an equivariance check
 
     def __post_init__(self):
         _check_real("weight", self.weight, 0)
@@ -222,6 +223,7 @@ class TVProx:
     weight: float
     tol: float = 1e-8
     max_iter: int = 500
+    crop = 0  # anisotropic TV is quarter-turn invariant up to the border too
 
     def __post_init__(self):
         _check_tv_args(self.weight, self.tol, self.max_iter)
@@ -242,11 +244,15 @@ class NeuralProx:
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return neural_prox(x, self.net)
 
+    @property
+    def crop(self) -> int:
+        """The network's receptive radius: the border its zero padding reaches."""
+        return self.net.receptive_radius
+
 
 def check_prox_equivariance(p, x: PlanarImage, theta: float) -> float:
-    """relative_difference(p(rotate(x)), rotate(p(x)), crop); the crop is the
-    network's receptive radius for a NeuralProx and 0 for pointwise/global ops."""
-    crop = p.net.receptive_radius if isinstance(p, NeuralProx) else 0
+    """relative_difference(p(rotate(x)), rotate(p(x)), p.crop); each prox names
+    the border width its equivariance check leaves out."""
     a = p(rotate_image(x, theta))
     b = rotate_image(p(x), theta)
-    return relative_difference(a, b, crop=crop)
+    return relative_difference(a, b, crop=p.crop)

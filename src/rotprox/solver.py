@@ -123,7 +123,11 @@ def estimate_lipschitz(op: DegradationOp, y: PlanarImage) -> float:
 
 @dataclass(frozen=True)
 class UnfoldingConfig:
-    """T proximal-gradient steps at step size eta; eta=None means auto 1/L_A."""
+    """T proximal-gradient steps at step size eta; eta=None means auto 1/L_A.
+
+    `prox` must be a deterministic function of its input: `ista_solve` skips
+    the steps of an iterate sequence that has started to repeat.
+    """
 
     steps: int
     step_size: float | None
@@ -177,6 +181,11 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
     The trace (when recorded) has T+1 entries: objective at x0, then after
     every step. The objective is 1/2 ||Ax - y||^2 plus lambda*R(x) when R has
     a closed form (L1, anisotropic TV), else the fidelity alone.
+
+    When an iterate repeats an earlier one bit for bit, the sequence is
+    periodic from there, so whole periods are skipped: x_T and the trace are
+    the ones the plain T-step loop gives, at the cost of the steps up to the
+    repeat plus fewer than one period.
     """
     lip = estimate_lipschitz(op, y)
     if cfg.step_size is None:
@@ -196,13 +205,33 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
     trace: list[float] = []
     if cfg.record_objective:
         trace.append(objective(x))
-    for step in range(1, cfg.steps + 1):
+    # Brent's cycle finder: `seen` is the iterate at step `seen_step`, moved
+    # on at power-of-two steps. The step map is a function of x alone, so once
+    # an iterate repeats, the sequence (and its objective) has that period.
+    seen, seen_step, step = _state(x), 0, 0
+    while step < cfg.steps:
         x = ista_step(x, y, op, cfg)
+        step += 1
         if not np.all(np.isfinite(x.data)):
             raise SolverDivergence(step)
         if cfg.record_objective:
             trace.append(objective(x))
+        state = _state(x)
+        if state == seen:
+            # each skipped lap repeats the last `period` objectives and ends on x
+            period = step - seen_step
+            laps = (cfg.steps - step) // period
+            trace += trace[-period:] * laps
+            step += laps * period
+            seen_step = step
+        elif step & (step - 1) == 0:
+            seen, seen_step = state, step
     return x, trace
+
+
+def _state(x: PlanarImage) -> tuple:
+    """The iterate bit for bit: bytes, not values, so -0.0 and +0.0 differ."""
+    return x.mesh, x.data.shape, x.data.tobytes()
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:

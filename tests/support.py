@@ -4,7 +4,8 @@ Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
 a scipy.signal convolution, an unbanded one-GEMM correlation, a per-tap
 strided-slice weight gradient, a TV dual loop that recomputes and reallocates
-everything each iteration), so agreement is evidence rather than tautology.
+everything each iteration, an ISTA loop that computes every step), so agreement
+is evidence rather than tautology.
 It also holds the one-filter sampling API (``ParamFilter``, ``sample_filter``),
 which only the tests use.
 """
@@ -32,10 +33,13 @@ from rotprox import (
     OrientationPool,
     PlanarImage,
     ReLU,
+    UnfoldingConfig,
     basis_stack,
+    estimate_lipschitz,
     forward,
     forward_with_tape,
     init_network,
+    ista_step,
     make_audit_net,
     make_denoiser_net,
     mse_loss,
@@ -337,6 +341,28 @@ def best_subset_support(y: np.ndarray, k: int) -> frozenset[int]:
         if cost < best_cost:
             best, best_cost = frozenset(combo), cost
     return best
+
+
+def plain_ista(y: PlanarImage, op, cfg: UnfoldingConfig):
+    """Every iterate x_0..x_T and the objective at each, by T calls of ista_step.
+
+    The step size is resolved as ista_solve resolves it, and the objective is
+    ista_solve's: 1/2 ||Ax - y||^2 plus (weight / eta) * R(x) when the prox
+    has an R.
+    """
+    lip = estimate_lipschitz(op, y)
+    eta = cfg.step_size if cfg.step_size is not None else (1.0 / lip if lip > 0 else 1.0)
+    cfg = UnfoldingConfig(cfg.steps, eta, cfg.prox)
+    reg = getattr(cfg.prox, "R", None)
+
+    def objective(x: PlanarImage) -> float:
+        fit = 0.5 * float(np.sum((op.apply(x).data - y.data) ** 2))
+        return fit + ((cfg.prox.weight / eta) * reg(x) if reg is not None else 0.0)
+
+    xs = [op.adjoint(y)]
+    for _ in range(cfg.steps):
+        xs.append(ista_step(xs[-1], y, op, cfg))
+    return xs, [objective(x) for x in xs]
 
 
 def net_loss(net, x: PlanarImage, target: np.ndarray) -> float:

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 import scipy.ndimage
-from support import best_subset_support
+from support import best_subset_support, plain_ista
 
 from rotprox import (
     BlurDownsample,
@@ -175,13 +175,11 @@ class TestIstaSolve:
             )
 
     def test_divergent_prox_detected(self):
-        calls = {"n": 0}
-
+        # a pure prox: the iterates run 1 -> 3 -> 6, and step 3's input 3.5 gives NaN
         def bad_prox(img):
-            calls["n"] += 1
-            if calls["n"] >= 3:
+            if img.data.max() > 3:
                 return types.SimpleNamespace(data=np.full_like(img.data, np.nan), mesh=img.mesh)
-            return img
+            return PlanarImage(3 * img.data, mesh=img.mesh)
 
         y = PlanarImage(np.ones((4, 4, 1)))
         with pytest.raises(SolverDivergence) as err:
@@ -196,6 +194,98 @@ class TestIstaSolve:
         direct, _ = ista_solve(rotate_image(y, np.pi / 2), Identity(), cfg)
         rotated, _ = ista_solve(y, Identity(), cfg)
         np.testing.assert_array_equal(direct.data, rotate_image(rotated, np.pi / 2).data)
+
+
+def _default_denoise(seed: int) -> PlanarImage:
+    """The noisy input of the default `rotprox denoise` at this seed."""
+    return degrade(Identity(), synthetic_image(64, seed), 25.0 / 255.0, seed)
+
+
+def _assert_matches_plain_loop(y, op, prox, step_size, steps, reference=None):
+    """ista_solve's x_T bytes and objective trace equal the plain loop's."""
+    xs, trace = reference or plain_ista(y, op, UnfoldingConfig(steps, step_size, prox))
+    x, got = ista_solve(y, op, UnfoldingConfig(steps, step_size, prox, record_objective=True))
+    assert x.data.tobytes() == xs[steps].data.tobytes(), f"steps={steps}"
+    assert x.mesh == xs[steps].mesh
+    assert np.array(got).tobytes() == np.array(trace[: steps + 1]).tobytes(), f"steps={steps}"
+
+
+class _CycleProx:
+    """A pure prox whose iterates run 0, 1, 2, 3, 4, 2, 3, 4, ... (mu 2, lambda 3).
+
+    With y = 0 and eta = 0.5 the prox sees x / 2, so it reads the state back
+    exactly from its input.
+    """
+
+    NEXT = {0.0: 1.0, 1.0: 2.0, 2.0: 3.0, 3.0: 4.0, 4.0: 2.0}
+
+    def __call__(self, v: PlanarImage) -> PlanarImage:
+        return PlanarImage(np.full(v.data.shape, self.NEXT[2.0 * v.data[0, 0, 0]]), mesh=v.mesh)
+
+
+class _CountingProx:
+    def __init__(self, prox):
+        self.prox, self.calls = prox, 0
+
+    def __call__(self, v: PlanarImage) -> PlanarImage:
+        self.calls += 1
+        return self.prox(v)
+
+
+class TestCycleSkip:
+    """ista_solve skips whole periods of a repeating iterate sequence; every
+    output and trace must equal the plain loop's bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def tv_seed3(self):
+        y = _default_denoise(3)
+        return y, plain_ista(y, Identity(), UnfoldingConfig(100, None, TVProx(0.1)))
+
+    @pytest.mark.parametrize("steps", [*range(13), 100])
+    def test_tv_short_cycle_every_step_count(self, tv_seed3, steps):
+        y, reference = tv_seed3
+        _assert_matches_plain_loop(y, Identity(), TVProx(0.1), None, steps, reference)
+
+    def test_tv_long_cycle(self):
+        # seed 910: the iterates repeat with period 20 from step 6
+        _assert_matches_plain_loop(_default_denoise(910), Identity(), TVProx(0.1), None, 100)
+
+    def test_soft_threshold_denoise(self):
+        _assert_matches_plain_loop(_default_denoise(3), Identity(), SoftThreshold(0.1), None, 100)
+
+    def test_sr_without_cycle(self):
+        op = BlurDownsample(gaussian_kernel(5, 1.0), 2)
+        y = degrade(op, synthetic_image(64, 3), 0.0, 3)
+        _assert_matches_plain_loop(y, op, SoftThreshold(0.1), None, 200)
+
+    def test_known_cycle(self):
+        y = PlanarImage(np.zeros((4, 4, 1)))
+        reference = plain_ista(y, Identity(), UnfoldingConfig(15, 0.5, _CycleProx()))
+        assert [x.data[0, 0, 0] for x in reference[0]] == [0, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3]
+        for steps in range(16):
+            _assert_matches_plain_loop(y, Identity(), _CycleProx(), 0.5, steps, reference)
+
+    def test_signed_zeros_are_different_iterates(self):
+        # With y = -0.0 the gradient step keeps the sign of a zero iterate, and
+        # the prox flips it: x_t is -0.0 for even t and +0.0 for odd t, which
+        # value equality would take for a period-1 cycle.
+        y = PlanarImage(np.full((4, 4, 1), -0.0))
+
+        def flip(v):
+            return PlanarImage(np.negative(v.data), mesh=v.mesh)
+
+        for steps in range(6):
+            x, _ = ista_solve(y, Identity(), UnfoldingConfig(steps, 1.0, flip))
+            assert np.all(np.signbit(x.data) == (steps % 2 == 0)), f"steps={steps}"
+            _assert_matches_plain_loop(y, Identity(), flip, 1.0, steps)
+
+    def test_default_tv_denoise_skips_most_prox_calls(self):
+        y = _default_denoise(0)
+        counting = _CountingProx(TVProx(0.1))
+        x, _ = ista_solve(y, Identity(), UnfoldingConfig(100, None, counting))
+        assert counting.calls < 20
+        direct, _ = ista_solve(y, Identity(), UnfoldingConfig(100, None, TVProx(0.1)))
+        assert x.data.tobytes() == direct.data.tobytes()
 
 
 class TestUtilities:
