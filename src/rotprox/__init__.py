@@ -33,6 +33,7 @@ from .grids import (
     DegenerateReferenceError,
     GroupFeatureMap,
     GroupSpec,
+    NonFiniteError,
     PlanarImage,
     act_on_feature_map,
     relative_difference,
@@ -51,8 +52,8 @@ from .layers import (
     make_audit_net,
     make_denoiser_net,
     make_sweep_net,
-    param_count,
     parameters,
+    weight_banks,
 )
 from .prox import (
     NeuralProx,

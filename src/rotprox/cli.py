@@ -239,13 +239,13 @@ def _write_trace(path: Path, trace) -> None:
 
 def cmd_audit_equivariance(cfg: dict, out_dir: Path) -> int:
     t_list = cfg["t_list"]
-    if not t_list:
-        raise ConfigError("t_list must be a nonempty list of group orders")
+    if not t_list or any(type(t) is not int or t < 1 for t in t_list):
+        raise ConfigError(f"t_list must be a nonempty list of integer group orders >= 1, got {t_list!r}")
     angles = cfg["angles"]
     if not isinstance(angles, int):
         angles = [float(a) for a in angles]
     reports = order_sweep(
-        t_list=[int(t) for t in t_list],
+        t_list=t_list,
         image_count=cfg["image_count"],
         image_size=cfg["image_size"],
         mesh=cfg["mesh"],
@@ -322,6 +322,12 @@ def cmd_sr(cfg: dict, out_dir: Path) -> int:
 def cmd_train(cfg: dict, out_dir: Path) -> int:
     if cfg["epochs"] < 0:
         raise ConfigError(f"epochs must be a nonnegative integer, got {cfg['epochs']!r}")
+    try:
+        lr_ok = cfg["lr"] > 0 and math.isfinite(cfg["lr"])
+    except OverflowError:  # an integer too large for a float
+        lr_ok = False
+    if not lr_ok:
+        raise ConfigError(f"lr must be a finite real > 0, got {cfg['lr']!r}")
     root = np.random.default_rng(cfg["seed"])
     data_seed, net_seed, noise_base = (int(s) for s in root.integers(2**31, size=3))
     clean = synthetic_stack(cfg["image_count"], cfg["image_size"], data_seed, mesh=cfg["mesh"])

@@ -21,6 +21,10 @@ class DegenerateReferenceError(ValueError):
     """Reference tensor has zero norm on the compared region."""
 
 
+class NonFiniteError(ValueError):
+    """An image or feature map holds a NaN or an infinite entry."""
+
+
 def _as_image_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 2:
@@ -30,7 +34,7 @@ def _as_image_array(data) -> np.ndarray:
     if min(arr.shape) < 1:
         raise ValueError(f"empty image shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("image contains non-finite entries")
+        raise NonFiniteError("image contains non-finite entries")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -76,7 +80,7 @@ class GroupFeatureMap:
         if min(arr.shape) < 1:
             raise ValueError(f"empty feature map shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("feature map contains non-finite entries")
+            raise NonFiniteError("feature map contains non-finite entries")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)

@@ -19,11 +19,18 @@ serialization are plain loops over these methods:
   when some layer lists it here.
 - ``forward(value, activations, x0)``: the layer output, given its input, the
   kept outputs of earlier layers (``activations[i]`` for each i in ``reads``)
-  and the network input.
+  and the network input. A convolution also takes its weight bank as a fourth
+  argument (built from its coefficients when omitted).
 - ``record(value, activations, x0)``: ``(output, saved)``, where ``saved``
-  holds exactly what ``grads`` and ``backward`` need.
-- ``grads(g, saved)``: ``{param name: gradient}`` given the output gradient
-  (default none).
+  holds exactly what ``grads`` and ``backward`` need; a convolution takes its
+  weight bank as ``forward`` does.
+- ``grads(g, saved)``: ``{param name: local gradient}`` given the output
+  gradient (default none). The local gradient is linear in ``g``; for a
+  convolution it is the gradient w.r.t. its weight bank (the taps), for a bias
+  the gradient w.r.t. its values.
+- ``chain(name, local)``: the parameter gradient from a local gradient, or from
+  a sum of them (default: the local gradient itself); a convolution chains its
+  taps through the sampled basis onto its Fourier coefficients.
 - ``backward(g, saved, pending)``: the gradient w.r.t. the layer input; a
   residual also adds its gradient to ``pending[skip]``. The reverse pass asks
   every layer but the first for it: nothing reads the network-input gradient.
@@ -34,6 +41,9 @@ serialization are plain loops over these methods:
   payload offset after its arrays.
 
 Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
+A weight bank is a function of the coefficients alone, so ``weight_banks(net)``
+builds every conv's bank once for the net's current parameters, and
+``forward(net, x, banks)`` reuses them until a coefficient changes.
 """
 
 from __future__ import annotations
@@ -230,6 +240,9 @@ class Layer:
     def grads(self, g, saved) -> dict[str, np.ndarray]:
         return {}
 
+    def chain(self, name: str, local: np.ndarray) -> np.ndarray:
+        return local
+
     def to_header(self) -> dict:
         return {"kind": self.kind}
 
@@ -284,14 +297,17 @@ class _Conv(Layer):
             grad[:, :, (offsets - o_out) % n, :] += dsel
         return grad.reshape(self.coeffs.shape)
 
-    def record(self, value, activations, x0):
-        w = self.weights()
+    def record(self, value, activations, x0, weights=None):
+        w = self.weights() if weights is None else weights
         return self.forward(value, activations, x0, w), (_flat(value), w, value.data.shape)
 
     def grads(self, g, saved):
         x_flat, _, _ = saved
-        dw = _conv_backward_weights(x_flat, g.reshape(g.shape[0], g.shape[1], -1), self.basis.filter_size)
-        return {"coeffs": self.coeff_grad(dw)}
+        g_flat = g.reshape(g.shape[0], g.shape[1], -1)
+        return {"coeffs": _conv_backward_weights(x_flat, g_flat, self.basis.filter_size)}
+
+    def chain(self, name, local):
+        return self.coeff_grad(local)
 
     def backward(self, g, saved, pending):
         # the adjoint of a correlation is the correlation with the flipped, transposed bank
@@ -618,13 +634,27 @@ def group_conv(f: GroupFeatureMap, layer: GroupConv, weights: np.ndarray | None 
     return GroupFeatureMap(out.reshape(h, w, t, layer.out_channels), mesh=f.mesh)
 
 
-def forward(net: NetworkSpec, x: PlanarImage):
-    """Run the network; returns a PlanarImage or GroupFeatureMap per the layer chain."""
+def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
+    """Each conv's weight bank by layer index, for the net's current coefficients.
+
+    The banks hold while the coefficients do: a caller that changes one must
+    build them again.
+    """
+    return {idx: layer.weights() for idx, layer in enumerate(net.layers) if isinstance(layer, _Conv)}
+
+
+def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):
+    """Run the network; returns a PlanarImage or GroupFeatureMap per the layer chain.
+
+    `banks` (from ``weight_banks``) supplies each conv's weight bank; without it
+    every conv builds its own from its coefficients.
+    """
     value = x
     keep = net.read_outputs()
     activations = {}
+    banks = banks or {}
     for idx, layer in enumerate(net.layers):
-        value = layer.forward(value, activations, x)
+        value = layer.forward(value, activations, x, *([banks[idx]] if idx in banks else []))
         if idx in keep:
             activations[idx] = value
     return value
@@ -633,10 +663,6 @@ def forward(net: NetworkSpec, x: PlanarImage):
 def parameters(net: NetworkSpec) -> list[tuple[int, str, np.ndarray]]:
     """Trainable arrays as (layer index, name, array) in a fixed order."""
     return [(idx, name, arr) for idx, layer in enumerate(net.layers) for name, arr in layer.params()]
-
-
-def param_count(net: NetworkSpec) -> int:
-    return sum(arr.size for _, _, arr in parameters(net))
 
 
 def init_network(net: NetworkSpec, seed: int) -> NetworkSpec:

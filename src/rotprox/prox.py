@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import PlanarImage, relative_difference, rotate_image
-from .layers import NetworkSpec, forward
+from .layers import NetworkSpec, forward, weight_banks
 
 # 1/8 is the classical stability bound for projected dual ascent on the 2D
 # anisotropic TV dual; the iteration converges unconditionally at this step.
@@ -192,12 +192,12 @@ def _tv_prox_plane(f: np.ndarray, w: float, tol: float, max_iter: int):
     return best_u, False, max_iter
 
 
-def neural_prox(x: PlanarImage, net: NetworkSpec) -> PlanarImage:
-    """Identity plus learned correction: x + forward(net, x)."""
+def neural_prox(x: PlanarImage, net: NetworkSpec, banks: dict[int, np.ndarray] | None = None) -> PlanarImage:
+    """Identity plus learned correction: x + forward(net, x, banks)."""
     kind, channels = net.output_state()
     if kind != "planar" or (channels is not None and channels != x.channels):
         raise ValueError("proximal network must map the image space to itself")
-    correction = forward(net, x)
+    correction = forward(net, x, banks)
     return PlanarImage(x.data + correction.data, mesh=x.mesh)
 
 
@@ -239,10 +239,21 @@ class TVProx:
 
 @dataclass(frozen=True)
 class NeuralProx:
+    """x + net(x), with the net's weight banks built once, at construction.
+
+    The prox is a snapshot: every call uses those banks, so it stays the fixed
+    function of its input that ``ista_solve`` requires. The net must not change
+    afterwards; a changed net needs a new NeuralProx.
+    """
+
     net: NetworkSpec
+    banks: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "banks", weight_banks(self.net))
 
     def __call__(self, x: PlanarImage) -> PlanarImage:
-        return neural_prox(x, self.net)
+        return neural_prox(x, self.net, self.banks)
 
     @property
     def crop(self) -> int:

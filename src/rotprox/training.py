@@ -1,13 +1,19 @@
 """Reverse-mode differentiation over the layer op set, plus a small full-batch trainer.
 
 A forward pass records a Tape: each layer's `record` saves exactly the arrays
-its `grads` and `backward` need (conv inputs and materialized weights, ReLU
-masks, the pooled orientation count). The reverse pass returns parameter
-gradients only; it carries the input gradient down to the first layer and no
-further, since no caller reads the gradient w.r.t. the network input.
-Convolution weight gradients chain through the fixed basis-sampling matrix, so
-parameter gradients land on Fourier coefficients; equivariance is a property of
-the parametrization and survives any number of updates.
+its `grads` and `backward` need (conv inputs and weight banks, ReLU masks, the
+pooled orientation count). The reverse pass returns parameter gradients only;
+it carries the input gradient down to the first layer and no further, since no
+caller reads the gradient w.r.t. the network input. It runs in two steps: local
+gradients (a conv's tap gradient, the gradient w.r.t. its weight bank), then
+`chain_grads`, which carries each conv's taps through the fixed basis-sampling
+matrix onto its Fourier coefficients; equivariance is a property of the
+parametrization and survives any number of updates.
+
+The trainer builds each conv's weight bank once per parameter state (for an
+epoch's taped pass and for the final loss-only pass) and shares it across the
+images, which still go through the net one at a time. The chain step is
+linear, so it chains the images' summed tap gradients once per conv per epoch.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import PlanarImage
-from .layers import NetworkSpec, forward, parameters
+from .grids import NonFiniteError, PlanarImage
+from .layers import NetworkSpec, forward, parameters, weight_banks
 
 
 class TapeConsumed(RuntimeError):
@@ -34,24 +40,28 @@ class Tape:
     consumed: bool = False
 
 
-def forward_with_tape(net: NetworkSpec, x: PlanarImage):
-    """forward(net, x) while recording what the reverse pass needs."""
+def forward_with_tape(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):
+    """forward(net, x, banks) while recording what the reverse pass needs."""
     value = x
     keep = net.read_outputs()
     activations = {}
     entries: list[tuple] = []
+    banks = banks or {}
     for idx, layer in enumerate(net.layers):
-        value, saved = layer.record(value, activations, x)
+        value, saved = layer.record(value, activations, x, *([banks[idx]] if idx in banks else []))
         if idx in keep:
             activations[idx] = value
         entries.append((layer, saved))
     return value, Tape(entries=entries, output=value)
 
 
-def backward(tape: Tape, loss_grad) -> dict[tuple[int, str], np.ndarray]:
+def backward(tape: Tape, loss_grad, chain: bool = True) -> dict[tuple[int, str], np.ndarray]:
     """Exact reverse-mode parameter gradients from a seed gradient on the taped
     output, as {(layer index, param name): gradient}. A tape backs exactly one
     reverse pass.
+
+    With `chain` false the values are the local gradients (a conv's taps),
+    linear in the seed, for `chain_grads` to finish once their sum is taken.
     """
     if tape.consumed:
         raise TapeConsumed("tape already consumed by a previous backward pass")
@@ -69,7 +79,14 @@ def backward(tape: Tape, loss_grad) -> dict[tuple[int, str], np.ndarray]:
             grads[(i, name)] = grad
         if i:
             g = layer.backward(g, saved, pending)
-    return grads
+    return chain_grads([layer for layer, _ in tape.entries], grads) if chain else grads
+
+
+def chain_grads(
+    layers: Sequence, local: dict[tuple[int, str], np.ndarray]
+) -> dict[tuple[int, str], np.ndarray]:
+    """Parameter gradients from local gradients keyed (layer index, param name)."""
+    return {(i, name): layers[i].chain(name, g) for (i, name), g in local.items()}
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -116,7 +133,9 @@ class Adam:
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the epoch loss passes 1e6; .trace holds losses up to the abort."""
+    """Raised when the epoch loss passes 1e6 or is not finite, or when a feature
+    map turns non-finite (that epoch's loss then reads nan); .trace holds
+    losses up to the abort."""
 
     def __init__(self, trace: list[float]):
         super().__init__(f"loss diverged to {trace[-1]:.3e} at epoch {len(trace) - 1}")
@@ -150,33 +169,40 @@ def train_denoiser(
             raise ValueError("image channels do not match the network output")
 
     def batch_loss_only() -> float:
+        banks = weight_banks(net)
         total = 0.0
         for clean, noisy in pairs:
-            out = forward(net, noisy)
+            out = forward(net, noisy, banks)
             total += mse_loss(noisy.data + out.data, clean.data)[0]
         return total / len(pairs)
 
     def batch_pass() -> tuple[float, dict[tuple[int, str], np.ndarray]]:
+        banks = weight_banks(net)
         total = 0.0
         acc: dict[tuple[int, str], np.ndarray] = {}
         for clean, noisy in pairs:
-            out, tape = forward_with_tape(net, noisy)
+            out, tape = forward_with_tape(net, noisy, banks)
             loss, dpred = mse_loss(noisy.data + out.data, clean.data)
-            pg = backward(tape, dpred)
             total += loss
-            for key, val in pg.items():
+            for key, val in backward(tape, dpred, chain=False).items():
                 acc[key] = acc.get(key, 0.0) + val
         n = len(pairs)
-        return total / n, {k: v / n for k, v in acc.items()}
+        return total / n, {k: v / n for k, v in chain_grads(net.layers, acc).items()}
 
     trace: list[float] = []
-    for _ in range(epochs):
-        loss, grads = batch_pass()
-        trace.append(loss)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise TrainingDivergence(trace)
-        opt.apply(net, grads)
-    trace.append(batch_loss_only())
+    # a non-finite value is reported below as divergence, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for _ in range(epochs):
+                loss, grads = batch_pass()
+                trace.append(loss)
+                if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                    raise TrainingDivergence(trace)
+                opt.apply(net, grads)
+            trace.append(batch_loss_only())
+        except NonFiniteError:
+            trace.append(float("nan"))
+            raise TrainingDivergence(trace) from None
     if not np.isfinite(trace[-1]) or trace[-1] > DIVERGENCE_LIMIT:
         raise TrainingDivergence(trace)
     return net, trace

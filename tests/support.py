@@ -4,14 +4,16 @@ Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
 a scipy.signal convolution, an unbanded one-GEMM correlation, a per-tap
 strided-slice weight gradient, a TV dual loop that recomputes and reallocates
-everything each iteration, an ISTA loop that computes every step), so agreement
-is evidence rather than tautology.
-It also holds the one-filter sampling API (``ParamFilter``, ``sample_filter``),
-which only the tests use.
+everything each iteration, an ISTA loop that computes every step, a trainer
+that builds every weight bank and chains every image's gradient on its own),
+so agreement is evidence rather than tautology.
+It also holds the one-filter sampling API (``ParamFilter``, ``sample_filter``)
+and ``param_count``, which only the tests use.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -86,7 +88,8 @@ class PlainConv:
 
     It implements the forward half of the layer protocol (check, reads,
     forward, params, init) plus what a first layer needs of the reverse half
-    (record, grads), and shares no convolution code with the library: the taps
+    (record, grads, chain; its grads are already coefficient gradients), and
+    shares no convolution code with the library: the taps
     coeffs . basis_stack(basis, 0) are correlated channel pair by channel pair
     with scipy.signal, zero padding, SAME size.
     """
@@ -139,6 +142,9 @@ class PlainConv:
             ]
         )
         return {"coeffs": np.tensordot(dtaps, basis_stack(self.basis, 0.0), axes=([2, 3], [1, 2]))}
+
+    def chain(self, name, local):
+        return local
 
 
 def make_plain_net(seed: int = 0, channels: int = 4, n_conv: int = 3, p: int = 5, cutoff: int = 2):
@@ -363,6 +369,50 @@ def plain_ista(y: PlanarImage, op, cfg: UnfoldingConfig):
     for _ in range(cfg.steps):
         xs.append(ista_step(xs[-1], y, op, cfg))
     return xs, [objective(x) for x in xs]
+
+
+def param_count(net: NetworkSpec) -> int:
+    return sum(arr.size for _, _, arr in parameters(net))
+
+
+def count_conv_calls(monkeypatch, name: str) -> collections.Counter:
+    """Count calls of conv method `name` per layer (keyed by id). It is patched
+    on Lift and GroupConv, where callers, and a span tracer, look it up."""
+    calls = collections.Counter()
+    for cls in (Lift, GroupConv):
+        original = getattr(cls, name)
+
+        def counted(self, *args, original=original):
+            calls[id(self)] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def per_image_train(net: NetworkSpec, pairs, opt, epochs: int) -> list[float]:
+    """train_denoiser's loss trace by the per-image route: every forward builds
+    its own weight banks, and every image's taped gradient is chained onto the
+    coefficients before the images' gradients are summed. Updates `net` in place.
+    """
+
+    def epoch_pass() -> tuple[float, dict]:
+        total, acc = 0.0, {}
+        for clean, noisy in pairs:
+            out, tape = forward_with_tape(net, noisy)
+            loss, dpred = mse_loss(noisy.data + out.data, clean.data)
+            total += loss
+            for key, val in backward(tape, dpred).items():
+                acc[key] = acc.get(key, 0.0) + val
+        return total / len(pairs), {k: v / len(pairs) for k, v in acc.items()}
+
+    trace = []
+    for _ in range(epochs):
+        loss, grads = epoch_pass()
+        trace.append(loss)
+        opt.apply(net, grads)
+    trace.append(sum(mse_loss(n.data + forward(net, n).data, c.data)[0] for c, n in pairs) / len(pairs))
+    return trace
 
 
 def net_loss(net, x: PlanarImage, target: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from support import (
     bound_reference,
     directional_grad_check,
     make_plain_net,
+    param_count,
     sample_grad_config,
 )
 from rotprox import (
@@ -34,7 +35,6 @@ from rotprox import (
     ista_solve,
     make_audit_net,
     make_denoiser_net,
-    param_count,
     parameters,
     psnr,
     rotate_image,

@@ -193,6 +193,20 @@ class TestConfigErrors:
         assert "Warning" not in err
         assert not caught, [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize(
+        "lr", ["-1.0", "0", "0.0", "1e400", "-Infinity", "NaN", pytest.param("1" + "0" * 400, id="1e400-as-int")]
+    )
+    def test_learning_rate_out_of_range(self, tmp_path, capsys, lr):
+        # JSON text, not json.dumps: 1e400 parses to inf, the last one to an int beyond float range
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"epochs": 1, "lr": {lr}}}')
+        self.check(["train", "--config", str(path), "--out", str(tmp_path)], capsys, "lr")
+
+    @pytest.mark.parametrize("t_list", [[1.5], [4, 2.0], [0], [-2], [True], ["4"], [None]])
+    def test_t_list_entries_are_integer_orders(self, tmp_path, capsys, t_list):
+        cfg = write_config(tmp_path, {"t_list": t_list})
+        self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")
+
     def test_empty_t_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t_list": []})
         self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")
@@ -544,6 +558,21 @@ class TestTrain:
         lines = (out / "loss.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         assert float(lines[2].split(",")[1]) > 1e6
+        assert not (out / "checkpoint.eqck").exists()
+
+    def test_non_finite_state_exits_one(self, tmp_path, capsys):
+        # Adam's first step moves every coefficient by about lr; the loss-only
+        # pass that ends the epoch then overflows a feature map
+        cfg = write_config(tmp_path, {"epochs": 1, "lr": 1e300})
+        out = tmp_path / "run"
+        rc = main(["train", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "diverged after 1 epochs" in err
+        lines = (out / "loss.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        assert np.isfinite(float(lines[1].split(",")[1]))
+        assert np.isnan(float(lines[2].split(",")[1]))
         assert not (out / "checkpoint.eqck").exists()
 
     def test_sgd_small_rate_trains(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from support import (
     directional_grad_check,
     make_plain_net,
     one_shot_correlate,
+    param_count,
     strided_conv_backward_weights,
 )
 
@@ -30,7 +31,6 @@ from rotprox import (
     make_audit_net,
     make_denoiser_net,
     make_sweep_net,
-    param_count,
     relative_difference,
     rotate_image,
 )

@@ -1,24 +1,29 @@
 import numpy as np
 import pytest
-from support import reference_tv_prox, tv_objective, tv_prox_dual_qp
+from support import count_conv_calls, reference_tv_prox, tv_objective, tv_prox_dual_qp
 
 from rotprox import (
     FourierBasis,
     GroupSpec,
+    Identity,
     Lift,
     NetworkSpec,
     NeuralProx,
     PlanarImage,
     SoftThreshold,
     TVProx,
+    UnfoldingConfig,
     check_prox_equivariance,
+    degrade,
     init_network,
+    ista_solve,
     make_denoiser_net,
     neural_prox,
     soft_threshold,
     tv_prox,
     tv_value_aniso,
 )
+from rotprox import prox
 from rotprox.synthetic import synthetic_image
 
 
@@ -256,6 +261,20 @@ class TestNeuralProx:
         x = PlanarImage(rng.standard_normal((8, 8, 2)))
         with pytest.raises(ValueError, match="image space"):
             neural_prox(x, make_denoiser_net(seed=0))
+
+    def test_solve_builds_each_bank_once(self, monkeypatch):
+        builds, prox_calls, call = count_conv_calls(monkeypatch, "weights"), [], prox.neural_prox
+
+        def counted_call(*args):
+            prox_calls.append(1)
+            return call(*args)
+
+        monkeypatch.setattr(prox, "neural_prox", counted_call)
+        net = init_network(make_denoiser_net(2, channels=2, p=3, cutoff=1), seed=29)
+        y = degrade(Identity(), synthetic_image(12, 4), 0.1, 4)
+        ista_solve(y, Identity(), UnfoldingConfig(20, None, NeuralProx(net)))
+        assert len(prox_calls) > 1
+        assert builds == dict.fromkeys([id(layer) for layer in net.conv_layers], 1)
 
     def test_quarter_turn_commutes_for_random_net(self):
         net = init_network(make_denoiser_net(4, channels=3), seed=9)

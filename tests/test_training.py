@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from support import (
     GRAD_CHECK_FAMILIES,
+    count_conv_calls,
     directional_grad_check,
     min_relu_gap,
+    per_image_train,
     sample_grad_config,
 )
 
@@ -24,9 +28,10 @@ from rotprox import (
     make_denoiser_net,
     mse_loss,
     train_denoiser,
+    weight_banks,
 )
 from rotprox.layers import parameters
-from rotprox.training import backward
+from rotprox.training import backward, chain_grads
 from rotprox.synthetic import synthetic_image
 
 FAMILY_SEEDS = {
@@ -80,6 +85,25 @@ class TestGradients:
         x = synthetic_image(10, 2)
         out, _ = forward_with_tape(net, x)
         np.testing.assert_array_equal(out.data, forward(net, x).data)
+
+    def test_shared_banks_and_split_chain_match(self):
+        # a prebuilt bank is the one each conv would build, and chaining the
+        # local gradients afterwards is what backward does in one call
+        net = init_network(make_denoiser_net(4, channels=2, p=3, cutoff=1), seed=50)
+        x = synthetic_image(10, 3)
+        banks = weight_banks(net)
+        assert sorted(banks) == [0, 3, 6, 10]  # the denoiser's lift and three group convs
+        np.testing.assert_array_equal(forward(net, x, banks).data, forward(net, x).data)
+        out, shared = forward_with_tape(net, x, banks)
+        _, own = forward_with_tape(net, x)
+        seed_grad = np.linspace(-1.0, 1.0, out.data.size).reshape(out.data.shape)
+        local = backward(shared, seed_grad, chain=False)
+        full = backward(own, seed_grad)
+        assert local[(0, "coeffs")].shape == banks[0].shape
+        chained = chain_grads(net.layers, local)
+        assert list(chained) == list(full)
+        for key in full:
+            np.testing.assert_array_equal(chained[key], full[key])
 
 
 class TestLossAndVjps:
@@ -172,6 +196,39 @@ class TestTrainDenoiser:
         with pytest.raises(TrainingDivergence) as err:
             train_denoiser(net, [(clean, rough)], SGD(0.1), 5)
         assert err.value.trace == [4000000.0]
+
+    def test_non_finite_feature_map_is_divergence(self):
+        # Adam's first step moves every coefficient by about lr, so the next
+        # forward overflows; that epoch's loss reads nan
+        net = init_network(make_denoiser_net(channels=2, p=3, cutoff=1), seed=58)
+        with pytest.raises(TrainingDivergence) as err:
+            train_denoiser(net, self._pairs(), Adam(lr=1e300), 1)
+        trace = err.value.trace
+        assert len(trace) == 2 and math.isfinite(trace[0]) and math.isnan(trace[1])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_epoch_builds_each_bank_twice_and_chains_once(self, monkeypatch, n):
+        # one bank for the taped pass and one for the final loss-only pass, and
+        # one coefficient chain per conv, whatever the number of images
+        net = init_network(make_denoiser_net(channels=2, p=3, cutoff=1), seed=55)
+        builds = count_conv_calls(monkeypatch, "weights")
+        chains = count_conv_calls(monkeypatch, "coeff_grad")
+        train_denoiser(net, self._pairs(n=n), Adam(lr=1e-2), 1)
+        convs = [id(layer) for layer in net.conv_layers]
+        assert len(convs) == 4
+        assert builds == dict.fromkeys(convs, 2)
+        assert chains == dict.fromkeys(convs, 1)
+
+    def test_matches_per_image_chaining(self):
+        # summing tap gradients before the chain rule only reassociates the sum
+        pairs = self._pairs(n=3)
+        nets = [init_network(make_denoiser_net(channels=2), seed=57) for _ in range(2)]
+        _, trace = train_denoiser(nets[0], pairs, Adam(lr=1e-2), 6)
+        want = per_image_train(nets[1], pairs, Adam(lr=1e-2), 6)
+        assert len(trace) == 7
+        np.testing.assert_allclose(trace, want, rtol=1e-13, atol=0)
+        for (_, _, a), (_, _, b) in zip(parameters(nets[0]), parameters(nets[1])):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
 
     def test_divergence_guard_on_final_evaluation(self):
         clean = synthetic_image(12, 63)
