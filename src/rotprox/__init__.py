@@ -13,7 +13,6 @@ from .audit import (
     emit_report,
     measure_equivariance,
     order_sweep,
-    refinement_errors,
     regularizer_rotation_table,
     regularizer_value,
     relative_spread,
@@ -35,7 +34,6 @@ from .grids import (
     GroupSpec,
     NonFiniteError,
     PlanarImage,
-    act_on_feature_map,
     relative_difference,
     rotate_image,
 )
@@ -93,6 +91,7 @@ from .training import (
     TapeConsumed,
     TrainingDivergence,
     backward,
+    chain_grads,
     forward_with_tape,
     mse_loss,
     train_denoiser,

@@ -1,6 +1,6 @@
 """Equivariance audits: measured rotation errors against the analytic layer-cascade
-bound, group-order sweeps, mesh-refinement scaling, and the rotation-invariance
-suite for classical regularizers.
+bound, group-order sweeps, and the rotation-invariance suite for classical
+regularizers.
 
 The central quantity is the relative equivariance error
 ``||f(rot_theta x) - rot_theta f(x)|| / ||rot_theta f(x)||`` on the interior
@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .filters import FourierBasis, SmoothnessBounds, bounds_from_coefficients, image_bounds, init_coefficients
-from .grids import GroupSpec, PlanarImage, act_on_feature_map, relative_difference, rotate_image
-from .layers import Lift, NetworkSpec, OrientationPool, forward, make_sweep_net
-from .synthetic import ring_stack, sample_field, synthetic_field
+from .filters import SmoothnessBounds, bounds_from_coefficients, image_bounds
+from .grids import PlanarImage, relative_difference, rotate_image
+from .layers import NetworkSpec, forward, make_sweep_net, weight_banks
+from .synthetic import ring_stack
 
 SWEEP_GROUP_ORDERS = (1, 2, 4, 8, 12, 24)
 # Azimuthal harmonic orders of the sweep test images. The top orders sit past
@@ -175,36 +175,27 @@ def _uniform_angles(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.pi * (1.0 - 2.0 * rng.random(count))
 
 
-def _group_step(theta: float, t: int) -> int:
-    k = round(theta * t / (2.0 * math.pi))
-    if not math.isclose(theta, 2.0 * math.pi * k / t, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError(
-            f"angle {theta} is not a group angle; group-valued outputs compare "
-            f"only at multiples of 2*pi/{t}"
-        )
-    return k % t
-
-
 def measure_equivariance(
     net: NetworkSpec,
     images: Sequence[PlanarImage],
     angles: int | Sequence[float] = 10,
     seed: int = 0,
     bound_inputs: BoundInputs | None = None,
-    crop: int | None = None,
 ) -> EquivarianceReport:
     """Relative equivariance error of `net` over (image, angle) pairs.
 
-    `angles` is either an explicit angle list (shared by all images) or a count
-    of uniform draws from (-pi, pi] per image, from the seeded generator. Errors
-    crop the receptive ring by default. With `bound_inputs` supplied the report
-    carries the analytic bound and whether every error sits below it.
+    The net must map images to images (end in an OrientationPool). `angles` is
+    either an explicit angle list (shared by all images) or a count of uniform
+    draws from (-pi, pi] per image, from the seeded generator. Errors crop the
+    receptive ring. With `bound_inputs` supplied the report carries the
+    analytic bound and whether every error sits below it.
     """
     if len(images) == 0:
         raise ValueError("empty image set")
-    out_kind, _ = net.output_state()
-    if crop is None:
-        crop = net.receptive_radius
+    if net.output_state()[0] != "planar":
+        raise ValueError("equivariance is audited on a planar output; end the net with an OrientationPool")
+    crop = net.receptive_radius
+    banks = weight_banks(net)
     rng = np.random.default_rng(seed)
     errors: list[tuple[float, float]] = []
     for img in images:
@@ -213,15 +204,11 @@ def measure_equivariance(
             if isinstance(angles, int)
             else np.asarray(angles, dtype=np.float64)
         )
-        base = forward(net, img)
+        base = forward(net, img, banks)
         for theta in thetas:
             theta = float(theta)
-            lhs = forward(net, rotate_image(img, theta))
-            if out_kind == "planar":
-                rhs = rotate_image(base, theta)
-            else:
-                rhs = act_on_feature_map(base, theta, _group_step(theta, net.group.order))
-            errors.append((theta, relative_difference(lhs, rhs, crop=crop)))
+            lhs = forward(net, rotate_image(img, theta), banks)
+            errors.append((theta, relative_difference(lhs, rotate_image(base, theta), crop=crop)))
     mean_error = float(np.mean([e for _, e in errors]))
     bound = None
     satisfied = None
@@ -251,7 +238,6 @@ def order_sweep(
     image_seed: int = 5,
     angle_seed: int = 0,
     channels: int = 3,
-    compute_bound: bool = True,
 ) -> list[EquivarianceReport]:
     """Equivariance error vs group order on a shared image/angle set.
 
@@ -263,47 +249,11 @@ def order_sweep(
     reports = []
     for t in t_list:
         net = make_sweep_net(t, channels=channels, seed=net_seed)
-        bi = bound_inputs_for(net, images) if compute_bound else None
+        bi = bound_inputs_for(net, images)
         reports.append(
             measure_equivariance(net, images, angles=angles, seed=angle_seed, bound_inputs=bi)
         )
     return reports
-
-
-def refinement_errors(
-    p_list: Sequence[int] = (5, 9, 17),
-    image_count: int = 3,
-    base_size: int = 32,
-) -> list[float]:
-    """Single-layer equivariance error under mesh refinement at fixed physical support.
-
-    One continuous filter bank (4 channels, cutoff 1, coefficients shared across
-    p, seed 0) and continuous 4-patch image fields are sampled at meshes scaled
-    so the p-tap footprint (p-1)*h stays fixed: p_list[0] taps at mesh 0.25, and
-    each doubling of taps halves the mesh. At the group angle 2*pi/8 of t = 8 the
-    orientation term drops out, leaving the quadratic sampling term.
-    """
-    t, channels, cutoff, base_mesh = 8, 4, 1, 0.25
-    base_p = p_list[0]
-    nb = FourierBasis(base_p, cutoff).size
-    coeffs = init_coefficients(np.random.default_rng(0), (channels, 1, nb), 1, base_p)
-    radius = base_size * base_mesh / 2.0
-    fields = [synthetic_field(s, radius, n_patches=4) for s in np.random.SeedSequence(0).spawn(image_count)]
-    means = []
-    for p in p_list:
-        if (p - 1) % (base_p - 1):
-            raise ValueError(f"{p - 1} taps must be a multiple of the base {base_p - 1}")
-        scale = (p - 1) // (base_p - 1)
-        h = base_mesh / scale
-        size = base_size * scale
-        images = [sample_field(f, size, size, h) for f in fields]
-        net = NetworkSpec(
-            [Lift(1, channels, t, FourierBasis(p, cutoff), coeffs), OrientationPool()],
-            GroupSpec(t),
-        )
-        report = measure_equivariance(net, images, angles=[2.0 * math.pi / t])
-        means.append(report.mean_error)
-    return means
 
 
 REGULARIZER_KINDS = ("L1", "LapL0", "TV_iso", "TV2")
@@ -357,7 +307,6 @@ def regularizer_value(r: RegularizerSpec, x: PlanarImage) -> float:
 
 def regularizer_rotation_table(
     x: PlanarImage,
-    kinds: Sequence[str] = REGULARIZER_KINDS,
     n_angles: int = 8,
     epsilon: float = 0.01,
     crop: int = 1,
@@ -367,7 +316,7 @@ def regularizer_rotation_table(
         raise ValueError("need at least one angle")
     angles = [2.0 * math.pi * k / n_angles for k in range(n_angles)]
     rows = []
-    for kind in kinds:
+    for kind in REGULARIZER_KINDS:
         spec = RegularizerSpec(kind, epsilon=epsilon, crop=crop)
         for theta in angles:
             rows.append((kind, theta, regularizer_value(spec, rotate_image(x, theta))))
@@ -378,9 +327,14 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _summary_path(csv_path: Path) -> Path:
+def _write_report(path, header: str, rows: list[str], summary: list[str]) -> tuple[Path, Path]:
+    """Write `rows` under `header` as a CSV at `path` and `summary` to <stem>_summary.txt beside it."""
+    csv_path = Path(path)
+    csv_path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     stem = csv_path.stem if csv_path.suffix == ".csv" else csv_path.name
-    return csv_path.with_name(f"{stem}_summary.txt")
+    summary_path = csv_path.with_name(f"{stem}_summary.txt")
+    summary_path.write_text("\n".join(summary) + "\n", encoding="utf-8")
+    return csv_path, summary_path
 
 
 def emit_report(reports: Sequence[EquivarianceReport], path) -> tuple[Path, Path]:
@@ -390,18 +344,11 @@ def emit_report(reports: Sequence[EquivarianceReport], path) -> tuple[Path, Path
     for rep in reports:
         if not rep.errors:
             raise ValueError("report with an empty angle list")
-    csv_path = Path(path)
-    lines = [SWEEP_CSV_HEADER]
+    rows, summary = [], []
     for rep in reports:
         bound = "" if rep.bound is None else _fmt(rep.bound)
         sat = "" if rep.bound_satisfied is None else ("true" if rep.bound_satisfied else "false")
-        lines.append(
-            f"{rep.t},{rep.p},{rep.N},{_fmt(rep.mean_error)},{_fmt(rep.max_error)},{bound},{sat}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    summary = []
-    for rep in reports:
+        rows.append(f"{rep.t},{rep.p},{rep.N},{_fmt(rep.mean_error)},{_fmt(rep.max_error)},{bound},{sat}")
         line = (
             f"t={rep.t} p={rep.p} N={rep.N} pairs={len(rep.errors)} "
             f"mean_error={rep.mean_error:.6g} max_error={rep.max_error:.6g}"
@@ -412,9 +359,7 @@ def emit_report(reports: Sequence[EquivarianceReport], path) -> tuple[Path, Path
     checked = [rep.bound_satisfied for rep in reports if rep.bound_satisfied is not None]
     if checked:
         summary.append(f"bound_satisfied: {'true' if all(checked) else 'false'}")
-    summary_path = _summary_path(csv_path)
-    summary_path.write_text("\n".join(summary) + "\n", encoding="utf-8")
-    return csv_path, summary_path
+    return _write_report(path, SWEEP_CSV_HEADER, rows, summary)
 
 
 def relative_spread(values: Sequence[float]) -> float:
@@ -427,19 +372,12 @@ def emit_regularizer_report(rows: Sequence[tuple[str, float, float]], path) -> t
     """Write (kind, angle, value) rows as CSV plus a per-kind spread summary."""
     if not rows:
         raise ValueError("no rows to emit")
-    csv_path = Path(path)
-    lines = [REGULARIZER_CSV_HEADER]
-    for kind, theta, value in rows:
-        lines.append(f"{kind},{_fmt(theta)},{_fmt(value)}")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     by_kind: dict[str, list[float]] = {}
     for kind, _, value in rows:
         by_kind.setdefault(kind, []).append(value)
-    summary = []
-    for kind, values in by_kind.items():
-        mean = float(np.mean(values))
-        summary.append(f"{kind}: mean={mean:.6g} relative_spread={relative_spread(values):.6g}")
-    summary_path = _summary_path(csv_path)
-    summary_path.write_text("\n".join(summary) + "\n", encoding="utf-8")
-    return csv_path, summary_path
+    summary = [
+        f"{kind}: mean={float(np.mean(values)):.6g} relative_spread={relative_spread(values):.6g}"
+        for kind, values in by_kind.items()
+    ]
+    lines = [f"{kind},{_fmt(theta)},{_fmt(value)}" for kind, theta, value in rows]
+    return _write_report(path, REGULARIZER_CSV_HEADER, lines, summary)

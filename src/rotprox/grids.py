@@ -1,9 +1,8 @@
-"""Dense image and group-feature-map values plus the rotation actions they transform under.
+"""Dense image and group-feature-map values plus the plane rotation of images.
 
-Every equivariance statement in this package is written against the two actions
-defined here: plane rotation of an image (exact index permutation for quarter
-turns on square grids, bilinear resampling otherwise) and the combined
-rotate-plus-cyclic-orientation-shift action on group feature maps.
+Every equivariance statement in this package is written against the rotation
+defined here: an exact index permutation for quarter turns on square grids,
+bilinear resampling otherwise.
 """
 
 from __future__ import annotations
@@ -25,62 +24,24 @@ class NonFiniteError(ValueError):
     """An image or feature map holds a NaN or an infinite entry."""
 
 
-def _as_image_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise ValueError(f"planar image data must be (H, W, C), got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"empty image shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("image contains non-finite entries")
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
-class PlanarImage:
-    """H x W x C grid sampled from a continuous image with physical spacing `mesh`."""
-
-    data: np.ndarray
-    mesh: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_image_array(self.data))
-        if not (isinstance(self.mesh, (int, float)) and math.isfinite(self.mesh) and self.mesh > 0):
-            raise ValueError(f"mesh must be a positive real, got {self.mesh}")
-        object.__setattr__(self, "mesh", float(self.mesh))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class GroupFeatureMap:
-    """H x W x t x C grid; axis 2 is the orientation fiber of a cyclic group of order t."""
+class _Grid:
+    """Shared validation: finite float64 samples of the subclass's rank, made
+    contiguous and read-only, on a positive real `mesh`."""
 
     data: np.ndarray
     mesh: float = 1.0
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 4:
-            raise ValueError(f"group feature map data must be (H, W, t, C), got shape {arr.shape}")
+        if arr.ndim == 2 and len(self._axes) == 3:  # a one-channel image may omit C
+            arr = arr[:, :, None]
+        if arr.ndim != len(self._axes):
+            raise ValueError(f"{self._kind} data must be ({', '.join(self._axes)}), got shape {arr.shape}")
         if min(arr.shape) < 1:
-            raise ValueError(f"empty feature map shape {arr.shape}")
+            raise ValueError(f"empty {self._noun} shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("feature map contains non-finite entries")
+            raise NonFiniteError(f"{self._noun} contains non-finite entries")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -95,6 +56,24 @@ class GroupFeatureMap:
     @property
     def width(self) -> int:
         return self.data.shape[1]
+
+
+@dataclass(frozen=True)
+class PlanarImage(_Grid):
+    """H x W x C grid sampled from a continuous image with physical spacing `mesh`."""
+
+    _kind, _noun, _axes = "planar image", "image", ("H", "W", "C")
+
+    @property
+    def channels(self) -> int:
+        return self.data.shape[2]
+
+
+@dataclass(frozen=True)
+class GroupFeatureMap(_Grid):
+    """H x W x t x C grid; axis 2 is the orientation fiber of a cyclic group of order t."""
+
+    _kind, _noun, _axes = "group feature map", "feature map", ("H", "W", "t", "C")
 
     @property
     def group_order(self) -> int:
@@ -160,45 +139,19 @@ def _bilinear_rotate(data: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def _rotate_array(data: np.ndarray, theta: float) -> np.ndarray:
-    """Shared rotation kernel for (H, W, C) stacks."""
-    h, w = data.shape[:2]
-    k = _quarter_multiple(theta)
-    if h != w:
-        if k is None or k % 2 != 0:
-            raise ValueError(
-                f"cannot rotate a {h}x{w} non-square grid by theta={theta}: "
-                "only multiples of pi preserve the shape"
-            )
-    if k is not None:
-        return np.ascontiguousarray(np.rot90(data, k=k % 4, axes=(0, 1)))
-    return _bilinear_rotate(data, theta)
-
-
 def rotate_image(img: PlanarImage, theta: float) -> PlanarImage:
     """Rotate counterclockwise by theta; exact index permutation when theta is a quarter turn."""
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
-    return PlanarImage(_rotate_array(img.data, theta), mesh=img.mesh)
-
-
-def act_on_feature_map(f: GroupFeatureMap, theta: float, k: int) -> GroupFeatureMap:
-    """Apply the feature-map rotation action: rotate every (o, c) slice spatially by
-    theta and shift the orientation fiber o -> (o + k) mod t.
-
-    Convention (pinned by tests): rotating the network input by +2*pi/t corresponds
-    to k = +1 here.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta}")
-    t = f.group_order
-    if not (isinstance(k, (int, np.integer)) and 0 <= k < t):
-        raise ValueError(f"orientation shift k={k} out of range for group order {t}")
-    h, w, _, c = f.data.shape
-    stacked = f.data.reshape(h, w, t * c)
-    rotated = _rotate_array(stacked, theta).reshape(h, w, t, c)
-    shifted = np.roll(rotated, shift=int(k), axis=2)
-    return GroupFeatureMap(shifted, mesh=f.mesh)
+    h, w = img.height, img.width
+    k = _quarter_multiple(theta)
+    if h != w and (k is None or k % 2 != 0):
+        raise ValueError(
+            f"cannot rotate a {h}x{w} non-square grid by theta={theta}: "
+            "only multiples of pi preserve the shape"
+        )
+    data = np.rot90(img.data, k=k % 4, axes=(0, 1)) if k is not None else _bilinear_rotate(img.data, theta)
+    return PlanarImage(data, mesh=img.mesh)
 
 
 def _cropped(data: np.ndarray, crop: int) -> np.ndarray:

@@ -20,7 +20,7 @@ serialization are plain loops over these methods:
 - ``forward(value, activations, x0)``: the layer output, given its input, the
   kept outputs of earlier layers (``activations[i]`` for each i in ``reads``)
   and the network input. A convolution also takes its weight bank as a fourth
-  argument (built from its coefficients when omitted).
+  argument.
 - ``record(value, activations, x0)``: ``(output, saved)``, where ``saved``
   holds exactly what ``grads`` and ``backward`` need; a convolution takes its
   weight bank as ``forward`` does.
@@ -43,7 +43,8 @@ serialization are plain loops over these methods:
 Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
 A weight bank is a function of the coefficients alone, so ``weight_banks(net)``
 builds every conv's bank once for the net's current parameters, and
-``forward(net, x, banks)`` reuses them until a coefficient changes.
+``forward(net, x, banks)`` reuses them until a coefficient changes; without
+``banks``, ``forward`` builds them for that one pass.
 """
 
 from __future__ import annotations
@@ -297,9 +298,8 @@ class _Conv(Layer):
             grad[:, :, (offsets - o_out) % n, :] += dsel
         return grad.reshape(self.coeffs.shape)
 
-    def record(self, value, activations, x0, weights=None):
-        w = self.weights() if weights is None else weights
-        return self.forward(value, activations, x0, w), (_flat(value), w, value.data.shape)
+    def record(self, value, activations, x0, weights):
+        return self.forward(value, activations, x0, weights), (_flat(value), weights, value.data.shape)
 
     def grads(self, g, saved):
         x_flat, _, _ = saved
@@ -371,7 +371,7 @@ class Lift(_Conv):
             raise ValueError(f"Lift group order {self.group_order} != network order {t}")
         return ("group", self.out_channels)
 
-    def forward(self, value, activations, x0, weights=None):
+    def forward(self, value, activations, x0, weights):
         return lift_conv(value, self, weights)
 
     @classmethod
@@ -426,7 +426,7 @@ class GroupConv(_Conv):
             raise ValueError(f"GroupConv group order {self.group_order} != network order {t}")
         return ("group", self.out_channels)
 
-    def forward(self, value, activations, x0, weights=None):
+    def forward(self, value, activations, x0, weights):
         return group_conv(value, self, weights)
 
     @classmethod
@@ -612,17 +612,17 @@ def _validate_chain(layers, group: GroupSpec) -> list[tuple[str, int]]:
     return states
 
 
-def lift_conv(x: PlanarImage, layer: Lift, weights: np.ndarray | None = None) -> GroupFeatureMap:
-    """Apply a lifting convolution to a planar image; `weights` defaults to layer.weights()."""
+def lift_conv(x: PlanarImage, layer: Lift, weights: np.ndarray) -> GroupFeatureMap:
+    """Apply a lifting convolution, with weight bank `weights` (layer.weights()), to a planar image."""
     if x.channels != layer.in_channels:
         raise ValueError(f"image has {x.channels} channels, lift expects {layer.in_channels}")
     h, w = x.height, x.width
-    out = correlate_stack(x.data, layer.weights() if weights is None else weights)
+    out = correlate_stack(x.data, weights)
     return GroupFeatureMap(out.reshape(h, w, layer.group_order, layer.out_channels), mesh=x.mesh)
 
 
-def group_conv(f: GroupFeatureMap, layer: GroupConv, weights: np.ndarray | None = None) -> GroupFeatureMap:
-    """Apply a group convolution to a group feature map; `weights` defaults to layer.weights()."""
+def group_conv(f: GroupFeatureMap, layer: GroupConv, weights: np.ndarray) -> GroupFeatureMap:
+    """Apply a group convolution, with weight bank `weights` (layer.weights()), to a group feature map."""
     t = layer.group_order
     if f.group_order != t:
         raise ValueError(f"feature map group order {f.group_order} != layer order {t}")
@@ -630,7 +630,7 @@ def group_conv(f: GroupFeatureMap, layer: GroupConv, weights: np.ndarray | None 
         raise ValueError(f"feature map has {f.base_channels} channels, layer expects {layer.in_channels}")
     h, w = f.height, f.width
     flat = f.data.reshape(h, w, t * layer.in_channels)
-    out = correlate_stack(flat, layer.weights() if weights is None else weights)
+    out = correlate_stack(flat, weights)
     return GroupFeatureMap(out.reshape(h, w, t, layer.out_channels), mesh=f.mesh)
 
 
@@ -647,12 +647,13 @@ def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | Non
     """Run the network; returns a PlanarImage or GroupFeatureMap per the layer chain.
 
     `banks` (from ``weight_banks``) supplies each conv's weight bank; without it
-    every conv builds its own from its coefficients.
+    the pass builds them from the current coefficients.
     """
     value = x
     keep = net.read_outputs()
     activations = {}
-    banks = banks or {}
+    if banks is None:
+        banks = weight_banks(net)
     for idx, layer in enumerate(net.layers):
         value = layer.forward(value, activations, x, *([banks[idx]] if idx in banks else []))
         if idx in keep:

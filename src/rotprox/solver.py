@@ -221,7 +221,8 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
             # each skipped lap repeats the last `period` objectives and ends on x
             period = step - seen_step
             laps = (cfg.steps - step) // period
-            trace += trace[-period:] * laps
+            if cfg.record_objective:
+                trace += trace[-period:] * laps
             step += laps * period
             seen_step = step
         elif step & (step - 1) == 0:

@@ -156,8 +156,14 @@ def ring_field(seed: int, domain_radius: float, orders) -> RingField:
 def ring_stack(count: int, size: int, seed: int, mesh: float, *, orders) -> list[PlanarImage]:
     """Seeded size x size ring-field images; image i uses child seed i of `seed`."""
     radius = (size / 2.0) * mesh
-    seeds = np.random.SeedSequence(seed).spawn(count)
+    seeds = _child_seeds(seed, count)
     return [sample_field(ring_field(s, radius, orders), size, size, mesh) for s in seeds]
+
+
+def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
+    if count < 0:
+        raise ValueError(f"image count must be >= 0, got {count}")
+    return np.random.SeedSequence(seed).spawn(count)
 
 
 def sample_field(field, height: int, width: int, mesh: float) -> PlanarImage:
@@ -178,5 +184,5 @@ def synthetic_image(size: int, seed: int, mesh: float = 1.0) -> PlanarImage:
 
 def synthetic_stack(count: int, size: int, seed: int, mesh: float = 1.0) -> list[PlanarImage]:
     """Deterministic list of images; image i uses child seed i of `seed`."""
-    children = np.random.SeedSequence(seed).spawn(count)
+    children = _child_seeds(seed, count)
     return [synthetic_image(size, child, mesh=mesh) for child in children]

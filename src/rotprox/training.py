@@ -2,11 +2,11 @@
 
 A forward pass records a Tape: each layer's `record` saves exactly the arrays
 its `grads` and `backward` need (conv inputs and weight banks, ReLU masks, the
-pooled orientation count). The reverse pass returns parameter gradients only;
-it carries the input gradient down to the first layer and no further, since no
-caller reads the gradient w.r.t. the network input. It runs in two steps: local
-gradients (a conv's tap gradient, the gradient w.r.t. its weight bank), then
-`chain_grads`, which carries each conv's taps through the fixed basis-sampling
+pooled orientation count). The reverse pass carries the input gradient down
+to the first layer and no further, since no caller reads the gradient w.r.t.
+the network input. Parameter gradients come in two steps: `backward` returns
+local gradients (a conv's tap gradient, the gradient w.r.t. its weight bank),
+then `chain_grads` carries each conv's taps through the fixed basis-sampling
 matrix onto its Fourier coefficients; equivariance is a property of the
 parametrization and survives any number of updates.
 
@@ -46,7 +46,8 @@ def forward_with_tape(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndar
     keep = net.read_outputs()
     activations = {}
     entries: list[tuple] = []
-    banks = banks or {}
+    if banks is None:
+        banks = weight_banks(net)
     for idx, layer in enumerate(net.layers):
         value, saved = layer.record(value, activations, x, *([banks[idx]] if idx in banks else []))
         if idx in keep:
@@ -55,13 +56,12 @@ def forward_with_tape(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndar
     return value, Tape(entries=entries, output=value)
 
 
-def backward(tape: Tape, loss_grad, chain: bool = True) -> dict[tuple[int, str], np.ndarray]:
-    """Exact reverse-mode parameter gradients from a seed gradient on the taped
-    output, as {(layer index, param name): gradient}. A tape backs exactly one
-    reverse pass.
-
-    With `chain` false the values are the local gradients (a conv's taps),
-    linear in the seed, for `chain_grads` to finish once their sum is taken.
+def backward(tape: Tape, loss_grad) -> dict[tuple[int, str], np.ndarray]:
+    """Exact reverse-mode local gradients from a seed gradient on the taped
+    output, as {(layer index, param name): gradient}; a conv's is its tap
+    gradient. They are linear in the seed, and ``chain_grads`` turns them, or
+    a sum of them, into parameter gradients. A tape backs exactly one reverse
+    pass.
     """
     if tape.consumed:
         raise TapeConsumed("tape already consumed by a previous backward pass")
@@ -79,7 +79,7 @@ def backward(tape: Tape, loss_grad, chain: bool = True) -> dict[tuple[int, str],
             grads[(i, name)] = grad
         if i:
             g = layer.backward(g, saved, pending)
-    return chain_grads([layer for layer, _ in tape.entries], grads) if chain else grads
+    return grads
 
 
 def chain_grads(
@@ -184,7 +184,7 @@ def train_denoiser(
             out, tape = forward_with_tape(net, noisy, banks)
             loss, dpred = mse_loss(noisy.data + out.data, clean.data)
             total += loss
-            for key, val in backward(tape, dpred, chain=False).items():
+            for key, val in backward(tape, dpred).items():
                 acc[key] = acc.get(key, 0.0) + val
         n = len(pairs)
         return total / n, {k: v / n for k, v in chain_grads(net.layers, acc).items()}

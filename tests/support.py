@@ -7,8 +7,10 @@ strided-slice weight gradient, a TV dual loop that recomputes and reallocates
 everything each iteration, an ISTA loop that computes every step, a trainer
 that builds every weight bank and chains every image's gradient on its own),
 so agreement is evidence rather than tautology.
-It also holds the one-filter sampling API (``ParamFilter``, ``sample_filter``)
-and ``param_count``, which only the tests use.
+It also holds the code that only the tests use: the one-filter sampling API
+(``ParamFilter``, ``sample_filter``), ``param_count``, the rotation action on
+group feature maps (``act_on_feature_map``) and the mesh-refinement study
+behind acceptance criterion 4 (``refinement_errors``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from rotprox import (
     Bias,
     FourierBasis,
+    GroupFeatureMap,
     GroupSpec,
     Lift,
     NetworkSpec,
@@ -36,7 +39,9 @@ from rotprox import (
     PlanarImage,
     ReLU,
     UnfoldingConfig,
+    backward,
     basis_stack,
+    chain_grads,
     estimate_lipschitz,
     forward,
     forward_with_tape,
@@ -44,12 +49,16 @@ from rotprox import (
     ista_step,
     make_audit_net,
     make_denoiser_net,
+    measure_equivariance,
     mse_loss,
     parameters,
+    rotate_image,
+    sample_field,
+    synthetic_field,
+    weight_banks,
 )
 from rotprox.filters import init_coefficients
 from rotprox.layers import GroupConv
-from rotprox.training import backward
 
 GRAD_CHECK_FAMILIES = ("plain_conv", "lift", "group_conv", "pooled", "residual")
 
@@ -375,6 +384,54 @@ def param_count(net: NetworkSpec) -> int:
     return sum(arr.size for _, _, arr in parameters(net))
 
 
+def act_on_feature_map(f: GroupFeatureMap, theta: float, k: int) -> GroupFeatureMap:
+    """Apply the feature-map rotation action: rotate every (o, c) slice spatially by
+    theta and shift the orientation fiber o -> (o + k) mod t.
+
+    Convention (pinned by tests): rotating the network input by +2*pi/t corresponds
+    to k = +1 here.
+    """
+    t = f.group_order
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < t):
+        raise ValueError(f"orientation shift k={k} out of range for group order {t}")
+    h, w, _, c = f.data.shape
+    stacked = PlanarImage(f.data.reshape(h, w, t * c), mesh=f.mesh)
+    rotated = rotate_image(stacked, theta).data.reshape(h, w, t, c)
+    return GroupFeatureMap(np.roll(rotated, shift=int(k), axis=2), mesh=f.mesh)
+
+
+def refinement_errors(p_list=(5, 9, 17), image_count: int = 3, base_size: int = 32) -> list[float]:
+    """Single-layer equivariance error under mesh refinement at fixed physical support.
+
+    One continuous filter bank (4 channels, cutoff 1, coefficients shared across
+    p, seed 0) and continuous 4-patch image fields are sampled at meshes scaled
+    so the p-tap footprint (p-1)*h stays fixed: p_list[0] taps at mesh 0.25, and
+    each doubling of taps halves the mesh. At the group angle 2*pi/8 of t = 8 the
+    orientation term drops out, leaving the quadratic sampling term.
+    """
+    t, channels, cutoff, base_mesh = 8, 4, 1, 0.25
+    base_p = p_list[0]
+    nb = FourierBasis(base_p, cutoff).size
+    coeffs = init_coefficients(np.random.default_rng(0), (channels, 1, nb), 1, base_p)
+    radius = base_size * base_mesh / 2.0
+    fields = [synthetic_field(s, radius, n_patches=4) for s in np.random.SeedSequence(0).spawn(image_count)]
+    means = []
+    for p in p_list:
+        if (p - 1) % (base_p - 1):
+            raise ValueError(f"{p - 1} taps must be a multiple of the base {base_p - 1}")
+        scale = (p - 1) // (base_p - 1)
+        h = base_mesh / scale
+        size = base_size * scale
+        images = [sample_field(f, size, size, h) for f in fields]
+        net = NetworkSpec(
+            [Lift(1, channels, t, FourierBasis(p, cutoff), coeffs), OrientationPool()],
+            GroupSpec(t),
+        )
+        report = measure_equivariance(net, images, angles=[2.0 * math.pi / t])
+        means.append(report.mean_error)
+    return means
+
+
 def count_conv_calls(monkeypatch, name: str) -> collections.Counter:
     """Count calls of conv method `name` per layer (keyed by id). It is patched
     on Lift and GroupConv, where callers, and a span tracer, look it up."""
@@ -392,7 +449,7 @@ def count_conv_calls(monkeypatch, name: str) -> collections.Counter:
 
 def per_image_train(net: NetworkSpec, pairs, opt, epochs: int) -> list[float]:
     """train_denoiser's loss trace by the per-image route: every forward builds
-    its own weight banks, and every image's taped gradient is chained onto the
+    its own weight banks, and every image's local gradient is chained onto the
     coefficients before the images' gradients are summed. Updates `net` in place.
     """
 
@@ -402,7 +459,7 @@ def per_image_train(net: NetworkSpec, pairs, opt, epochs: int) -> list[float]:
             out, tape = forward_with_tape(net, noisy)
             loss, dpred = mse_loss(noisy.data + out.data, clean.data)
             total += loss
-            for key, val in backward(tape, dpred).items():
+            for key, val in chain_grads(net.layers, backward(tape, dpred)).items():
                 acc[key] = acc.get(key, 0.0) + val
         return total / len(pairs), {k: v / len(pairs) for k, v in acc.items()}
 
@@ -424,7 +481,7 @@ def directional_grad_check(net, x: PlanarImage, target: np.ndarray, rng, step: f
     one random parameter direction. Returns (relative_error, analytic, numeric)."""
     out, tape = forward_with_tape(net, x)
     _, dpred = mse_loss(out.data, target)
-    grads = backward(tape, dpred)
+    grads = chain_grads(net.layers, backward(tape, dpred))
 
     params = parameters(net)
     direction = {}
@@ -534,10 +591,11 @@ def min_relu_gap(net, x: PlanarImage) -> float:
     """Smallest |pre-activation| any ReLU in the net sees on input x."""
     value = x
     activations = []
+    banks = weight_banks(net)
     gap = np.inf
-    for layer in net.layers:
+    for idx, layer in enumerate(net.layers):
         if isinstance(layer, ReLU):
             gap = min(gap, float(np.min(np.abs(value.data))))
-        value = layer.forward(value, activations, x)
+        value = layer.forward(value, activations, x, *([banks[idx]] if idx in banks else []))
         activations.append(value)
     return gap

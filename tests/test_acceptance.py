@@ -17,6 +17,7 @@ from support import (
     directional_grad_check,
     make_plain_net,
     param_count,
+    refinement_errors,
     sample_grad_config,
 )
 from rotprox import (
@@ -50,7 +51,6 @@ from rotprox.audit import (
     make_sweep_net,
     measure_equivariance,
     order_sweep,
-    refinement_errors,
     regularizer_rotation_table,
     relative_spread,
     theorem1_bound,

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from support import bound_reference
+from support import bound_reference, count_conv_calls, refinement_errors
 
 from rotprox import (
     BoundInputs,
     DegenerateReferenceError,
     EquivarianceReport,
+    REGULARIZER_KINDS,
     FourierBasis,
     GroupSpec,
     LayerBounds,
@@ -21,7 +22,6 @@ from rotprox import (
     make_audit_net,
     measure_equivariance,
     order_sweep,
-    refinement_errors,
     regularizer_rotation_table,
     regularizer_value,
     relative_spread,
@@ -158,17 +158,23 @@ class TestMeasureEquivariance:
         first, second = a.errors[:2], a.errors[2:]
         assert [th for th, _ in first] != [th for th, _ in second]
 
-    def test_group_output_needs_group_angles(self):
+    def test_group_output_rejected(self):
         basis = FourierBasis(5, 2)
         rng = np.random.default_rng(76)
         net = NetworkSpec(
             [Lift(1, 2, 4, basis, rng.standard_normal((2, 1, basis.size)))], GroupSpec(4)
         )
         img = synthetic_image(20, 5, mesh=1 / 3)
-        report = measure_equivariance(net, [img], angles=[np.pi / 2, np.pi])
-        assert report.max_error <= 1e-12
-        with pytest.raises(ValueError, match="group angle"):
-            measure_equivariance(net, [img], angles=[0.3])
+        with pytest.raises(ValueError, match="planar output"):
+            measure_equivariance(net, [img], angles=[np.pi / 2])
+
+    def test_banks_built_once_per_call(self, monkeypatch):
+        # 2 images x (1 reference + 3 rotated) forwards share one bank per conv
+        net = make_audit_net(4, seed=78)
+        imgs = [synthetic_image(16, s, mesh=1 / 3) for s in (0, 1)]
+        builds = count_conv_calls(monkeypatch, "weights")
+        measure_equivariance(net, imgs, angles=3)
+        assert builds == dict.fromkeys([id(layer) for layer in net.conv_layers], 1)
 
     def test_bound_attached_when_inputs_given(self):
         net = make_audit_net(4, seed=77)
@@ -179,12 +185,6 @@ class TestMeasureEquivariance:
         assert report.bound_satisfied is True
         plain = measure_equivariance(net, [img], angles=[np.pi / 2])
         assert plain.bound is None and plain.bound_satisfied is None
-
-    def test_crop_override_recorded(self):
-        net = make_audit_net(4, seed=78)
-        img = synthetic_image(24, 7, mesh=1 / 3)
-        report = measure_equivariance(net, [img], angles=[np.pi], crop=2)
-        assert report.crop == 2
 
     def test_degenerate_reference_propagates(self):
         net = make_audit_net(4, seed=79)
@@ -216,12 +216,6 @@ class TestOrderSweep:
         assert all(r.bound is not None and r.bound_satisfied for r in reports)
         angles_per_t = [[th for th, _ in r.errors] for r in reports]
         assert angles_per_t[0] == angles_per_t[1]
-
-    def test_bound_can_be_skipped(self):
-        reports = order_sweep(
-            t_list=[2], image_count=1, image_size=32, mesh=1 / 3, angles=2, compute_bound=False
-        )
-        assert reports[0].bound is None
 
 
 class TestRefinement:
@@ -288,13 +282,9 @@ class TestRegularizers:
 
     def test_table_layout(self):
         x = synthetic_image(16, 2, mesh=1 / 3)
-        rows = regularizer_rotation_table(x, kinds=("L1",), n_angles=4)
-        assert [(k, th) for k, th, _ in rows] == [
-            ("L1", 0.0),
-            ("L1", math.pi / 2),
-            ("L1", math.pi),
-            ("L1", 3 * math.pi / 2),
-        ]
+        rows = regularizer_rotation_table(x, n_angles=4)
+        angles = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+        assert [(k, th) for k, th, _ in rows] == [(k, th) for k in REGULARIZER_KINDS for th in angles]
 
 
 class TestRelativeSpread:
@@ -337,15 +327,15 @@ class TestEmit:
 
     def test_regularizer_csv_layout(self, tmp_path):
         x = synthetic_image(16, 9, mesh=1 / 3)
-        rows = regularizer_rotation_table(x, kinds=("L1", "TV2"), n_angles=2)
+        rows = regularizer_rotation_table(x, n_angles=2)
         csv_path, summary_path = emit_regularizer_report(rows, tmp_path / "reg.csv")
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "regularizer,angle_rad,value"
-        assert len(lines) == 5
+        assert len(lines) == 1 + 2 * len(REGULARIZER_KINDS)
         kind, theta, value = lines[1].split(",")
         assert kind == "L1" and float(theta) == 0.0
         assert float(value) == rows[0][2]
         summary = summary_path.read_text().splitlines()
-        assert len(summary) == 2
+        assert len(summary) == len(REGULARIZER_KINDS)
         assert summary[0].startswith("L1: mean=")
         assert "relative_spread=" in summary[0]

@@ -193,6 +193,11 @@ class TestConfigErrors:
         assert "Warning" not in err
         assert not caught, [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize("command", ["audit-equivariance", "train"])
+    def test_negative_image_count(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"image_count": -1})
+        self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, "image count must be >= 0, got -1")
+
     @pytest.mark.parametrize(
         "lr", ["-1.0", "0", "0.0", "1e400", "-Infinity", "NaN", pytest.param("1" + "0" * 400, id="1e400-as-int")]
     )
@@ -375,6 +380,14 @@ class TestDenoise:
         assert "psnr: inf" in stdout
         restored = read_eqt1(out / "denoised.eqt1")
         np.testing.assert_array_equal(restored, synthetic_image(16, 4, mesh=1.0).data)
+
+    def test_astronomical_step_count_exits_zero(self, tmp_path, capsys):
+        # the cycle skip jumps over the 2**70 steps without recording a trace
+        cfg = write_config(tmp_path, {"image_size": 8, "steps": 2**70})
+        rc = main(["denoise", "--config", cfg, "--out", str(tmp_path / "den")])
+        stdout = capsys.readouterr().out
+        assert rc == 0
+        read_psnr(stdout)
 
     def test_soft_threshold_beats_noisy_psnr(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from support import act_on_feature_map
 
 from rotprox import (
     DegenerateReferenceError,
     GroupFeatureMap,
     GroupSpec,
     PlanarImage,
-    act_on_feature_map,
     relative_difference,
     rotate_image,
 )

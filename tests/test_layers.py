@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
     PlainConv,
+    act_on_feature_map,
     directional_grad_check,
     make_plain_net,
     one_shot_correlate,
@@ -25,7 +26,6 @@ from rotprox import (
     PlanarImage,
     ReLU,
     ResidualAdd,
-    act_on_feature_map,
     forward,
     init_network,
     make_audit_net,
@@ -188,7 +188,7 @@ class TestConvReversePass:
         else:
             layer = GroupConv(ci, co, basis, rng.standard_normal((co, ci, t, basis.size)))
             x = GroupFeatureMap(rng.standard_normal((h, w, t, ci)))
-        out, saved = layer.record(x, {}, x)
+        out, saved = layer.record(x, {}, x, layer.weights())
         g = rng.standard_normal(out.data.shape)
         fft_calls = []
         fft = layers._correlate_fft
@@ -262,8 +262,9 @@ class TestLiftEquivariance:
         rng = np.random.default_rng(2)
         layer = Lift(1, 3, 4, basis, rng.standard_normal((3, 1, basis.size)))
         x = synthetic_image(16, 0, mesh=1 / 3)
-        lhs = lift_conv(rotate_image(x, np.pi / 2), layer)
-        rhs = act_on_feature_map(lift_conv(x, layer), np.pi / 2, 1)
+        w = layer.weights()
+        lhs = lift_conv(rotate_image(x, np.pi / 2), layer, w)
+        rhs = act_on_feature_map(lift_conv(x, layer, w), np.pi / 2, 1)
         assert np.max(np.abs(lhs.data - rhs.data)) < 1e-12
 
     def test_quarter_turn_full_net(self):
@@ -278,8 +279,9 @@ class TestLiftEquivariance:
         rng = np.random.default_rng(4)
         layer = GroupConv(2, 3, basis, rng.standard_normal((3, 2, 4, basis.size)))
         f = GroupFeatureMap(rng.standard_normal((12, 12, 4, 2)))
-        lhs = group_conv(act_on_feature_map(f, np.pi / 2, 1), layer)
-        rhs = act_on_feature_map(group_conv(f, layer), np.pi / 2, 1)
+        w = layer.weights()
+        lhs = group_conv(act_on_feature_map(f, np.pi / 2, 1), layer, w)
+        rhs = act_on_feature_map(group_conv(f, layer, w), np.pi / 2, 1)
         assert np.max(np.abs(lhs.data - rhs.data)) < 1e-12
 
     def test_all_four_quarter_turns(self):
@@ -308,7 +310,7 @@ class TestLayerSemantics:
             GroupSpec(4),
         )
         x = PlanarImage(rng.standard_normal((5, 5, 2)))
-        lifted = lift_conv(x, net.layers[0])
+        lifted = lift_conv(x, net.layers[0], net.layers[0].weights())
         pooled = forward(net, x)
         np.testing.assert_allclose(pooled.data, lifted.data.mean(axis=2), atol=1e-15)
 

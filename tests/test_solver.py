@@ -287,6 +287,16 @@ class TestCycleSkip:
         direct, _ = ista_solve(y, Identity(), UnfoldingConfig(100, None, TVProx(0.1)))
         assert x.data.tobytes() == direct.data.tobytes()
 
+    def test_unrecorded_skip_of_astronomical_step_count(self):
+        # `rotprox denoise` at 8x8 with the default soft threshold: the iterate
+        # is a fixed point by step 50, so 2**70 steps end where 51 do, and the
+        # untraced skip builds no trace
+        y = degrade(Identity(), synthetic_image(8, 0), 25.0 / 255.0, 0)
+        x, trace = ista_solve(y, Identity(), UnfoldingConfig(2**70, None, SoftThreshold(0.1)))
+        x51, _ = ista_solve(y, Identity(), UnfoldingConfig(51, None, SoftThreshold(0.1)))
+        assert trace == []
+        assert x.data.tobytes() == x51.data.tobytes()
+
 
 class TestUtilities:
     def test_gaussian_kernel_shape(self):

@@ -87,8 +87,9 @@ class TestGradients:
         np.testing.assert_array_equal(out.data, forward(net, x).data)
 
     def test_shared_banks_and_split_chain_match(self):
-        # a prebuilt bank is the one each conv would build, and chaining the
-        # local gradients afterwards is what backward does in one call
+        # prebuilt banks are the ones a pass builds for itself, and backward's
+        # local gradients are tap gradients that chain_grads carries onto the
+        # coefficients
         net = init_network(make_denoiser_net(4, channels=2, p=3, cutoff=1), seed=50)
         x = synthetic_image(10, 3)
         banks = weight_banks(net)
@@ -97,13 +98,15 @@ class TestGradients:
         out, shared = forward_with_tape(net, x, banks)
         _, own = forward_with_tape(net, x)
         seed_grad = np.linspace(-1.0, 1.0, out.data.size).reshape(out.data.shape)
-        local = backward(shared, seed_grad, chain=False)
-        full = backward(own, seed_grad)
+        local = backward(shared, seed_grad)
+        own_local = backward(own, seed_grad)
         assert local[(0, "coeffs")].shape == banks[0].shape
+        assert list(local) == list(own_local)
+        for key in local:
+            np.testing.assert_array_equal(local[key], own_local[key])
         chained = chain_grads(net.layers, local)
-        assert list(chained) == list(full)
-        for key in full:
-            np.testing.assert_array_equal(chained[key], full[key])
+        assert list(chained) == list(local)
+        assert chained[(0, "coeffs")].shape == net.layers[0].coeffs.shape
 
 
 class TestLossAndVjps:
