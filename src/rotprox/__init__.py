@@ -62,7 +62,6 @@ from .prox import (
     neural_prox,
     soft_threshold,
     tv_prox,
-    tv_value_aniso,
 )
 from .solver import (
     BlurDownsample,
@@ -88,7 +87,6 @@ from .training import (
     SGD,
     Adam,
     Tape,
-    TapeConsumed,
     TrainingDivergence,
     backward,
     chain_grads,

@@ -160,7 +160,6 @@ class EquivarianceReport:
     mean_error: float
     bound: float | None
     bound_satisfied: bool | None
-    crop: int
     t: int
     p: int
     N: int
@@ -192,6 +191,8 @@ def measure_equivariance(
     """
     if len(images) == 0:
         raise ValueError("empty image set")
+    if (angles if isinstance(angles, int) else len(angles)) < 1:
+        raise ValueError(f"angles must be a count >= 1 or a nonempty list of angles, got {angles!r}")
     if net.output_state()[0] != "planar":
         raise ValueError("equivariance is audited on a planar output; end the net with an OrientationPool")
     crop = net.receptive_radius
@@ -221,7 +222,6 @@ def measure_equivariance(
         mean_error=mean_error,
         bound=bound,
         bound_satisfied=satisfied,
-        crop=crop,
         t=net.group.order,
         p=max((l.basis.filter_size for l in convs), default=0),
         N=len(convs),

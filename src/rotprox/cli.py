@@ -243,6 +243,8 @@ def cmd_audit_equivariance(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"t_list must be a nonempty list of integer group orders >= 1, got {t_list!r}")
     angles = cfg["angles"]
     if not isinstance(angles, int):
+        if any(type(a) not in (int, float) for a in angles):
+            raise ConfigError(f"angles must be a count or a list of numbers, got {angles!r}")
         angles = [float(a) for a in angles]
     reports = order_sweep(
         t_list=t_list,

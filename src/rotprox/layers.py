@@ -643,22 +643,33 @@ def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
     return {idx: layer.weights() for idx, layer in enumerate(net.layers) if isinstance(layer, _Conv)}
 
 
-def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):
-    """Run the network; returns a PlanarImage or GroupFeatureMap per the layer chain.
-
-    `banks` (from ``weight_banks``) supplies each conv's weight bank; without it
-    the pass builds them from the current coefficients.
-    """
+def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None, entries: list | None = None):
+    """The layer loop of ``forward`` and ``training.forward_with_tape``: with an
+    `entries` list, each layer records instead and appends (layer, saved)."""
     value = x
     keep = net.read_outputs()
     activations = {}
     if banks is None:
         banks = weight_banks(net)
     for idx, layer in enumerate(net.layers):
-        value = layer.forward(value, activations, x, *([banks[idx]] if idx in banks else []))
+        args = (value, activations, x, *([banks[idx]] if idx in banks else []))
+        if entries is None:
+            value = layer.forward(*args)
+        else:
+            value, saved = layer.record(*args)
+            entries.append((layer, saved))
         if idx in keep:
             activations[idx] = value
     return value
+
+
+def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):
+    """Run the network; returns a PlanarImage or GroupFeatureMap per the layer chain.
+
+    `banks` (from ``weight_banks``) supplies each conv's weight bank; without it
+    the pass builds them from the current coefficients.
+    """
+    return _pass(net, x, banks)
 
 
 def parameters(net: NetworkSpec) -> list[tuple[int, str, np.ndarray]]:

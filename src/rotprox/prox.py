@@ -111,11 +111,6 @@ def _abs_sum(g: np.ndarray, scratch: np.ndarray | None = None) -> float:
     return float(a[0].sum() + a[1].sum())
 
 
-def tv_value_aniso(u: np.ndarray) -> float:
-    """Anisotropic TV: sum |forward differences| over both axes."""
-    return _abs_sum(_forward_diff(u))
-
-
 @dataclass(frozen=True)
 class TVResult:
     image: PlanarImage
@@ -212,11 +207,6 @@ class SoftThreshold:
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return soft_threshold(x, self.weight)
 
-    @staticmethod
-    def R(x: PlanarImage) -> float:
-        """The unweighted regularizer ||x||_1."""
-        return float(np.sum(np.abs(x.data)))
-
 
 @dataclass(frozen=True)
 class TVProx:
@@ -230,11 +220,6 @@ class TVProx:
 
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return tv_prox(x, self.weight, self.tol, self.max_iter).image
-
-    @staticmethod
-    def R(x: PlanarImage) -> float:
-        """The unweighted regularizer: anisotropic TV summed over channels."""
-        return sum(tv_value_aniso(x.data[:, :, c]) for c in range(x.channels))
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,6 @@ class UnfoldingConfig:
     steps: int
     step_size: float | None
     prox: Callable[[PlanarImage], PlanarImage]
-    record_objective: bool = False
 
     def __post_init__(self):
         _check_int("steps", self.steps, 0)
@@ -163,71 +162,42 @@ def ista_step(x_t: PlanarImage, y: PlanarImage, op: DegradationOp, cfg: Unfoldin
     return cfg.prox(shifted)
 
 
-def _regularizer_term(prox, eta: float) -> Callable[[PlanarImage], float] | None:
-    """lambda*R(x) when the prox exposes its closed-form regularizer R, else None.
-
-    Prox weights fold the trade-off as w = lambda * eta, so lambda = w / eta.
-    """
-    reg = getattr(prox, "R", None)
-    if reg is None:
-        return None
-    lam = prox.weight / eta
-    return lambda x: lam * reg(x)
-
-
-def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple[PlanarImage, list[float]]:
-    """Run T steps from x0 = adjoint(y).
-
-    The trace (when recorded) has T+1 entries: objective at x0, then after
-    every step. The objective is 1/2 ||Ax - y||^2 plus lambda*R(x) when R has
-    a closed form (L1, anisotropic TV), else the fidelity alone.
+def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple[PlanarImage, int]:
+    """Run T steps from x0 = adjoint(y); returns x_T and the number of
+    ``ista_step`` calls made.
 
     When an iterate repeats an earlier one bit for bit, the sequence is
-    periodic from there, so whole periods are skipped: x_T and the trace are
-    the ones the plain T-step loop gives, at the cost of the steps up to the
-    repeat plus fewer than one period.
+    periodic from there, so whole periods are skipped: x_T is the one the
+    plain T-step loop gives, at the cost of the steps up to the repeat plus
+    fewer than one period.
     """
     lip = estimate_lipschitz(op, y)
     if cfg.step_size is None:
-        eta = 1.0 / lip if lip > 0 else 1.0
-        cfg = UnfoldingConfig(cfg.steps, eta, cfg.prox, cfg.record_objective)
+        cfg = UnfoldingConfig(cfg.steps, 1.0 / lip if lip > 0 else 1.0, cfg.prox)
     elif lip > 0 and cfg.step_size > 1.0 / lip:
         raise ValueError(
             f"step_size {cfg.step_size} exceeds 1/L_A = {1.0 / lip:.6g}"
         )
-    reg = _regularizer_term(cfg.prox, cfg.step_size)
-
-    def objective(x: PlanarImage) -> float:
-        fit = 0.5 * float(np.sum((op.apply(x).data - y.data) ** 2))
-        return fit + (reg(x) if reg is not None else 0.0)
-
     x = op.adjoint(y)
-    trace: list[float] = []
-    if cfg.record_objective:
-        trace.append(objective(x))
     # Brent's cycle finder: `seen` is the iterate at step `seen_step`, moved
     # on at power-of-two steps. The step map is a function of x alone, so once
-    # an iterate repeats, the sequence (and its objective) has that period.
-    seen, seen_step, step = _state(x), 0, 0
+    # an iterate repeats, the sequence has that period.
+    seen, seen_step, step, calls = _state(x), 0, 0, 0
     while step < cfg.steps:
         x = ista_step(x, y, op, cfg)
         step += 1
+        calls += 1
         if not np.all(np.isfinite(x.data)):
             raise SolverDivergence(step)
-        if cfg.record_objective:
-            trace.append(objective(x))
         state = _state(x)
         if state == seen:
-            # each skipped lap repeats the last `period` objectives and ends on x
+            # each skipped lap of `period` steps ends on x again
             period = step - seen_step
-            laps = (cfg.steps - step) // period
-            if cfg.record_objective:
-                trace += trace[-period:] * laps
-            step += laps * period
+            step += (cfg.steps - step) // period * period
             seen_step = step
         elif step & (step - 1) == 0:
             seen, seen_step = state, step
-    return x, trace
+    return x, calls
 
 
 def _state(x: PlanarImage) -> tuple:

@@ -24,11 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import NonFiniteError, PlanarImage
-from .layers import NetworkSpec, forward, parameters, weight_banks
-
-
-class TapeConsumed(RuntimeError):
-    """A tape's saved buffers back exactly one reverse pass."""
+from .layers import NetworkSpec, _pass, forward, parameters, weight_banks
 
 
 @dataclass
@@ -37,22 +33,12 @@ class Tape:
 
     entries: list[tuple]
     output: object
-    consumed: bool = False
 
 
 def forward_with_tape(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):
     """forward(net, x, banks) while recording what the reverse pass needs."""
-    value = x
-    keep = net.read_outputs()
-    activations = {}
     entries: list[tuple] = []
-    if banks is None:
-        banks = weight_banks(net)
-    for idx, layer in enumerate(net.layers):
-        value, saved = layer.record(value, activations, x, *([banks[idx]] if idx in banks else []))
-        if idx in keep:
-            activations[idx] = value
-        entries.append((layer, saved))
+    value = _pass(net, x, banks, entries)
     return value, Tape(entries=entries, output=value)
 
 
@@ -60,12 +46,9 @@ def backward(tape: Tape, loss_grad) -> dict[tuple[int, str], np.ndarray]:
     """Exact reverse-mode local gradients from a seed gradient on the taped
     output, as {(layer index, param name): gradient}; a conv's is its tap
     gradient. They are linear in the seed, and ``chain_grads`` turns them, or
-    a sum of them, into parameter gradients. A tape backs exactly one reverse
-    pass.
+    a sum of them, into parameter gradients. The tape is only read, so it can
+    back any number of reverse passes.
     """
-    if tape.consumed:
-        raise TapeConsumed("tape already consumed by a previous backward pass")
-    tape.consumed = True
     g = np.asarray(loss_grad, dtype=np.float64)
     if g.shape != tape.output.data.shape:
         raise ValueError(f"seed gradient shape {g.shape} != output shape {tape.output.data.shape}")

@@ -9,8 +9,9 @@ that builds every weight bank and chains every image's gradient on its own),
 so agreement is evidence rather than tautology.
 It also holds the code that only the tests use: the one-filter sampling API
 (``ParamFilter``, ``sample_filter``), ``param_count``, the rotation action on
-group feature maps (``act_on_feature_map``) and the mesh-refinement study
-behind acceptance criterion 4 (``refinement_errors``).
+group feature maps (``act_on_feature_map``), the mesh-refinement study
+behind acceptance criterion 4 (``refinement_errors``) and the ISTA objective
+(``regularizer``, ``tv_value_aniso``, read through ``plain_ista``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from rotprox import (
     OrientationPool,
     PlanarImage,
     ReLU,
+    SoftThreshold,
+    TVProx,
     UnfoldingConfig,
     backward,
     basis_stack,
@@ -358,17 +361,34 @@ def best_subset_support(y: np.ndarray, k: int) -> frozenset[int]:
     return best
 
 
+def tv_value_aniso(u: np.ndarray) -> float:
+    """Anisotropic TV of one plane: sum |forward differences| over both axes."""
+    gx, gy = reference_forward_diff(u)
+    return float(np.abs(gx).sum() + np.abs(gy).sum())
+
+
+def regularizer(prox):
+    """The unweighted regularizer R(x) that `prox` is the prox of (with its
+    weight folded in), when R has a closed form: ||x||_1 for SoftThreshold,
+    anisotropic TV summed over channels for TVProx; None otherwise."""
+    if isinstance(prox, SoftThreshold):
+        return lambda x: float(np.sum(np.abs(x.data)))
+    if isinstance(prox, TVProx):
+        return lambda x: sum(tv_value_aniso(x.data[:, :, c]) for c in range(x.channels))
+    return None
+
+
 def plain_ista(y: PlanarImage, op, cfg: UnfoldingConfig):
     """Every iterate x_0..x_T and the objective at each, by T calls of ista_step.
 
-    The step size is resolved as ista_solve resolves it, and the objective is
-    ista_solve's: 1/2 ||Ax - y||^2 plus (weight / eta) * R(x) when the prox
-    has an R.
+    The step size is resolved as ista_solve resolves it. The objective is
+    1/2 ||Ax - y||^2 plus lambda * R(x) when R has a closed form; prox weights
+    fold the trade-off as w = lambda * eta, so lambda = w / eta.
     """
     lip = estimate_lipschitz(op, y)
     eta = cfg.step_size if cfg.step_size is not None else (1.0 / lip if lip > 0 else 1.0)
     cfg = UnfoldingConfig(cfg.steps, eta, cfg.prox)
-    reg = getattr(cfg.prox, "R", None)
+    reg = regularizer(cfg.prox)
 
     def objective(x: PlanarImage) -> float:
         fit = 0.5 * float(np.sum((op.apply(x).data - y.data) ** 2))

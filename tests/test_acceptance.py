@@ -17,6 +17,7 @@ from support import (
     directional_grad_check,
     make_plain_net,
     param_count,
+    plain_ista,
     refinement_errors,
     sample_grad_config,
 )
@@ -205,7 +206,9 @@ def test_criterion_08_ista_descent_recovery_adjoints():
     # (a) objective monotone under the default safe step
     op = BlurDownsample(gaussian_kernel(5, 1.0), 2)
     y = degrade(op, synthetic_image(16, 13), 0.05, seed=30)
-    _, trace = ista_solve(y, op, UnfoldingConfig(100, None, SoftThreshold(0.02), record_objective=True))
+    cfg = UnfoldingConfig(100, None, SoftThreshold(0.02))
+    xs, trace = plain_ista(y, op, cfg)
+    assert ista_solve(y, op, cfg)[0].data.tobytes() == xs[-1].data.tobytes()
     assert len(trace) == 101
     worst_rise = max(b - a for a, b in zip(trace, trace[1:]))
     monotone = worst_rise <= 1e-12

@@ -132,7 +132,6 @@ class TestMeasureEquivariance:
         img = synthetic_image(32, 20, mesh=1 / 3)
         report = measure_equivariance(net, [img], angles=[0.0, np.pi / 2, np.pi, -np.pi / 2])
         assert report.max_error <= 1e-12
-        assert report.crop == net.receptive_radius
         assert report.t == 4 and report.p == 5 and report.N == 3
 
     def test_angle_list_shared_across_images(self):
@@ -196,6 +195,14 @@ class TestMeasureEquivariance:
         net = make_audit_net(4, seed=80)
         with pytest.raises(ValueError, match="empty"):
             measure_equivariance(net, [], angles=[np.pi / 2])
+
+    @pytest.mark.parametrize("angles", [0, -1, []], ids=["zero", "negative", "empty-list"])
+    def test_empty_angle_set_rejected_before_any_forward(self, monkeypatch, angles):
+        net = make_audit_net(4, seed=81)
+        convs = count_conv_calls(monkeypatch, "forward")
+        with pytest.raises(ValueError, match="angles"):
+            measure_equivariance(net, [synthetic_image(16, 0, mesh=1 / 3)], angles=angles)
+        assert not convs
 
     def test_bound_inputs_for_validation(self):
         net = make_audit_net(4, seed=81)
@@ -318,7 +325,7 @@ class TestEmit:
             emit_report([], tmp_path / "x.csv")
         hollow = EquivarianceReport(
             errors=(), mean_error=0.0, bound=None, bound_satisfied=None,
-            crop=0, t=1, p=3, N=1,
+            t=1, p=3, N=1,
         )
         with pytest.raises(ValueError, match="empty angle list"):
             emit_report([hollow], tmp_path / "x.csv")

@@ -177,6 +177,9 @@ class TestConfigErrors:
             ("denoise", "ground_truth", 5),
             ("audit-regularizers", "image", 5),
             ("denoise", "prox", {"kind": "neural", "checkpoint": 5}),
+            ("audit-equivariance", "angles", [None]),
+            ("audit-equivariance", "angles", ["a"]),
+            ("audit-equivariance", "angles", [0.5, True]),
         ],
     )
     def test_value_of_wrong_type(self, tmp_path, capsys, command, key, value):
@@ -215,6 +218,15 @@ class TestConfigErrors:
     def test_empty_t_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t_list": []})
         self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")
+
+    @pytest.mark.parametrize("angles", [0, -1, []], ids=["zero", "negative", "empty-list"])
+    def test_angles_must_name_at_least_one(self, tmp_path, capsys, angles):
+        cfg = write_config(tmp_path, {"angles": angles, "image_size": 16, "t_list": [1]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "angles")
+        assert "Warning" not in err
+        assert not caught, [str(w.message) for w in caught]
 
 
 class TestAuditEquivariance:

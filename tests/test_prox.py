@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from support import count_conv_calls, reference_tv_prox, tv_objective, tv_prox_dual_qp
+from support import count_conv_calls, reference_tv_prox, tv_objective, tv_prox_dual_qp, tv_value_aniso
 
 from rotprox import (
     FourierBasis,
@@ -21,7 +21,6 @@ from rotprox import (
     neural_prox,
     soft_threshold,
     tv_prox,
-    tv_value_aniso,
 )
 from rotprox import prox
 from rotprox.synthetic import synthetic_image
