@@ -75,14 +75,6 @@ class GroupFeatureMap(_Grid):
 
     _kind, _noun, _axes = "group feature map", "feature map", ("H", "W", "t", "C")
 
-    @property
-    def group_order(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def base_channels(self) -> int:
-        return self.data.shape[3]
-
 
 @dataclass(frozen=True)
 class GroupSpec:

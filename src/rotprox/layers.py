@@ -17,13 +17,12 @@ serialization are plain loops over these methods:
 - ``reads``: the indices of earlier layers whose outputs this layer reads
   (default none); a pass keeps a layer's output beyond the next layer only
   when some layer lists it here.
-- ``forward(value, activations, x0)``: the layer output, given its input, the
-  kept outputs of earlier layers (``activations[i]`` for each i in ``reads``)
-  and the network input. A convolution also takes its weight bank as a fourth
-  argument.
-- ``record(value, activations, x0)``: ``(output, saved)``, where ``saved``
-  holds exactly what ``grads`` and ``backward`` need; a convolution takes its
-  weight bank as ``forward`` does.
+- ``forward(value, activations)``: the layer output, given its input and the
+  kept outputs of earlier layers (``activations[i]`` for each i in ``reads``).
+  A convolution also takes its weight bank as a third argument.
+- ``record(value, activations)``: ``(output, saved)``, where ``saved`` holds
+  exactly what ``grads`` and ``backward`` need; a convolution takes its weight
+  bank as ``forward`` does.
 - ``grads(g, saved)``: ``{param name: local gradient}`` given the output
   gradient (default none). The local gradient is linear in ``g``; for a
   convolution it is the gradient w.r.t. its weight bank (the taps), for a bias
@@ -40,6 +39,11 @@ serialization are plain loops over these methods:
   layer's EQCK v1 header entry; ``from_header`` returns the layer and the
   payload offset after its arrays.
 
+Inside a pass, values are bare float64 arrays: (H, W, C) for a planar map and
+(H, W, t, C) for a group map. Only the pass itself (``_pass``) knows about
+``PlanarImage``/``GroupFeatureMap``: it checks the input's channel count, checks
+every layer output for non-finite entries, and wraps the final output.
+
 Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
 A weight bank is a function of the coefficients alone, so ``weight_banks(net)``
 builds every conv's bank once for the net's current parameters, and
@@ -55,7 +59,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .filters import FourierBasis, basis_stack, init_coefficients
-from .grids import GroupFeatureMap, GroupSpec, PlanarImage
+from .grids import GroupFeatureMap, GroupSpec, NonFiniteError, PlanarImage
 
 
 # Floor, in bytes, on one band's im2col patch matrix in _correlate_im2col.
@@ -173,14 +177,7 @@ def _angle(o: int, t: int) -> float:
     return 2.0 * np.pi * o / t if o else 0.0
 
 
-def _flat(value) -> np.ndarray:
-    """Channel-flattened view: group maps (H,W,t,C) -> (H,W,t*C)."""
-    if isinstance(value, GroupFeatureMap):
-        return value.data.reshape(value.height, value.width, -1)
-    return value.data
-
-
-def _conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np.ndarray:
+def _conv_backward_weights(x: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     """(S, p, p, Co) tap gradient of a SAME correlation of (H, W, S) by a (S, p, p, Co) bank.
 
     x is zero-padded to rows of Wp = W + 2m values (plus one spare row) and g is
@@ -189,15 +186,15 @@ def _conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np
     extra columns meet a zero gradient.
     """
     m = p // 2
-    h, wd, slices = x_flat.shape
+    h, wd, slices = x.shape
     wp = wd + 2 * m
-    xp = np.zeros((h + 2 * m + 1, wp, slices), dtype=x_flat.dtype)
-    xp[m : m + h, m : m + wd] = x_flat
-    gp = np.zeros((h, wp, g_flat.shape[2]), dtype=g_flat.dtype)
-    gp[:, :wd] = g_flat
+    xp = np.zeros((h + 2 * m + 1, wp, slices), dtype=x.dtype)
+    xp[m : m + h, m : m + wd] = x
+    gp = np.zeros((h, wp, g.shape[2]), dtype=g.dtype)
+    gp[:, :wd] = g
     xf = xp.reshape(-1, slices)
-    gf = gp.reshape(-1, g_flat.shape[2])
-    dw = np.empty((slices, p, p, g_flat.shape[2]))
+    gf = gp.reshape(-1, g.shape[2])
+    dw = np.empty((slices, p, p, g.shape[2]))
     for u in range(p):
         for v in range(p):
             o = u * wp + v
@@ -205,14 +202,12 @@ def _conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np
     return dw
 
 
-def _header_ints(spec: dict, *keys: str, low: int = 0) -> list[int]:
-    """Integer fields of one EQCK layer entry; a missing, non-integer or too small field is a ValueError."""
+def _header_ints(spec: dict, *keys: str) -> list[int]:
+    """Integer fields of one EQCK layer entry; a missing, non-integer or negative field is a ValueError."""
     values = [spec.get(key) for key in keys]
-    for key, value in zip(keys, values):
-        if type(value) is not int or value < low:
-            raise ValueError(
-                f"checkpoint {spec['kind']} layer: {key!r} must be an integer >= {low}, got {value!r}"
-            )
+    for key, v in zip(keys, values):
+        if type(v) is not int or v < 0:
+            raise ValueError(f"checkpoint {spec['kind']} layer: {key!r} must be an integer >= 0, got {v!r}")
     return values
 
 
@@ -235,8 +230,8 @@ class Layer:
     def init(self, rng: np.random.Generator) -> None:
         pass
 
-    def record(self, value, activations, x0):
-        return self.forward(value, activations, x0), None
+    def record(self, value, activations):
+        return self.forward(value, activations), None
 
     def grads(self, g, saved) -> dict[str, np.ndarray]:
         return {}
@@ -298,13 +293,13 @@ class _Conv(Layer):
             grad[:, :, (offsets - o_out) % n, :] += dsel
         return grad.reshape(self.coeffs.shape)
 
-    def record(self, value, activations, x0, weights):
-        return self.forward(value, activations, x0, weights), (_flat(value), weights, value.data.shape)
+    def record(self, value, activations, weights):
+        flat = value.reshape(*value.shape[:2], -1)
+        return self.forward(value, activations, weights), (flat, weights, value.shape)
 
     def grads(self, g, saved):
-        x_flat, _, _ = saved
-        g_flat = g.reshape(g.shape[0], g.shape[1], -1)
-        return {"coeffs": _conv_backward_weights(x_flat, g_flat, self.basis.filter_size)}
+        x, _, _ = saved
+        return {"coeffs": _conv_backward_weights(x, g.reshape(*g.shape[:2], -1), self.basis.filter_size)}
 
     def chain(self, name, local):
         return self.coeff_grad(local)
@@ -312,8 +307,8 @@ class _Conv(Layer):
     def backward(self, g, saved, pending):
         # the adjoint of a correlation is the correlation with the flipped, transposed bank
         _, w, in_shape = saved
-        g_flat = g.reshape(g.shape[0], g.shape[1], -1)
-        return correlate_stack(g_flat, w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)).reshape(in_shape)
+        flat = g.reshape(*g.shape[:2], -1)
+        return correlate_stack(flat, w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)).reshape(in_shape)
 
     def to_header(self) -> dict:
         return {
@@ -371,7 +366,7 @@ class Lift(_Conv):
             raise ValueError(f"Lift group order {self.group_order} != network order {t}")
         return ("group", self.out_channels)
 
-    def forward(self, value, activations, x0, weights):
+    def forward(self, value, activations, weights):
         return lift_conv(value, self, weights)
 
     @classmethod
@@ -426,7 +421,7 @@ class GroupConv(_Conv):
             raise ValueError(f"GroupConv group order {self.group_order} != network order {t}")
         return ("group", self.out_channels)
 
-    def forward(self, value, activations, x0, weights):
+    def forward(self, value, activations, weights):
         return group_conv(value, self, weights)
 
     @classmethod
@@ -467,8 +462,8 @@ class Bias(Layer):
             raise ValueError(f"Bias has {self.channels} values, chain has {c} channels")
         return states[-1]
 
-    def forward(self, value, activations, x0):
-        return type(value)(value.data + self.values, mesh=value.mesh)
+    def forward(self, value, activations):
+        return value + self.values
 
     def grads(self, g, saved):
         return {"values": g.sum(axis=tuple(range(g.ndim - 1)))}
@@ -494,11 +489,11 @@ class ReLU(Layer):
             raise ValueError("ReLU before any convolution")
         return states[-1]
 
-    def forward(self, value, activations, x0):
-        return type(value)(np.maximum(value.data, 0.0), mesh=value.mesh)
+    def forward(self, value, activations):
+        return np.maximum(value, 0.0)
 
-    def record(self, value, activations, x0):
-        return self.forward(value, activations, x0), value.data > 0.0
+    def record(self, value, activations):
+        return self.forward(value, activations), value > 0.0
 
     def backward(self, g, saved, pending):
         return g * saved
@@ -506,7 +501,7 @@ class ReLU(Layer):
 
 @dataclass
 class ResidualAdd(Layer):
-    """Adds the recorded output of layer `skip` (-1 = network input)."""
+    """Adds the output of earlier layer `skip`."""
 
     skip: int
 
@@ -514,26 +509,21 @@ class ResidualAdd(Layer):
 
     @property
     def reads(self) -> tuple[int, ...]:
-        return (self.skip,) if self.skip >= 0 else ()
+        return (self.skip,)
 
     def check(self, states, t, last):
         state = states[-1]
-        if not -1 <= self.skip < len(states) - 1:
+        if not 0 <= self.skip < len(states) - 1:
             raise ValueError(f"residual skip {self.skip} out of range")
-        if self.skip == -1:
-            if state[0] != "planar":
-                raise ValueError("residual to network input needs a planar activation")
-        elif states[self.skip + 1] != state:
+        if states[self.skip + 1] != state:
             raise ValueError(f"residual shapes differ, {states[self.skip + 1]} vs {state}")
         return state
 
-    def forward(self, value, activations, x0):
-        other = x0 if self.skip == -1 else activations[self.skip]
-        return type(value)(value.data + other.data, mesh=value.mesh)
+    def forward(self, value, activations):
+        return value + activations[self.skip]
 
     def backward(self, g, saved, pending):
-        if self.skip >= 0:  # nothing reads the network-input gradient
-            pending[self.skip] = pending.get(self.skip, 0.0) + g
+        pending[self.skip] = pending.get(self.skip, 0.0) + g
         return g
 
     def to_header(self) -> dict:
@@ -541,7 +531,7 @@ class ResidualAdd(Layer):
 
     @classmethod
     def from_header(cls, spec, payload, offset):
-        return cls(*_header_ints(spec, "skip", low=-1)), offset
+        return cls(*_header_ints(spec, "skip")), offset
 
 
 @dataclass
@@ -558,11 +548,11 @@ class OrientationPool(Layer):
             raise ValueError("OrientationPool must be the last layer")
         return ("planar", c)
 
-    def forward(self, value, activations, x0):
-        return PlanarImage(value.data.mean(axis=2), mesh=value.mesh)
+    def forward(self, value, activations):
+        return value.mean(axis=2)
 
-    def record(self, value, activations, x0):
-        return self.forward(value, activations, x0), value.data.shape[2]
+    def record(self, value, activations):
+        return self.forward(value, activations), value.shape[2]
 
     def backward(self, g, saved, pending):
         t = saved
@@ -612,26 +602,14 @@ def _validate_chain(layers, group: GroupSpec) -> list[tuple[str, int]]:
     return states
 
 
-def lift_conv(x: PlanarImage, layer: Lift, weights: np.ndarray) -> GroupFeatureMap:
-    """Apply a lifting convolution, with weight bank `weights` (layer.weights()), to a planar image."""
-    if x.channels != layer.in_channels:
-        raise ValueError(f"image has {x.channels} channels, lift expects {layer.in_channels}")
-    h, w = x.height, x.width
-    out = correlate_stack(x.data, weights)
-    return GroupFeatureMap(out.reshape(h, w, layer.group_order, layer.out_channels), mesh=x.mesh)
+def lift_conv(x: np.ndarray, layer: Lift, weights: np.ndarray) -> np.ndarray:
+    """(H, W, Cin) planar map -> (H, W, t, Cout) group map, with weight bank `weights` (layer.weights())."""
+    return correlate_stack(x, weights).reshape(*x.shape[:2], layer.group_order, layer.out_channels)
 
 
-def group_conv(f: GroupFeatureMap, layer: GroupConv, weights: np.ndarray) -> GroupFeatureMap:
-    """Apply a group convolution, with weight bank `weights` (layer.weights()), to a group feature map."""
-    t = layer.group_order
-    if f.group_order != t:
-        raise ValueError(f"feature map group order {f.group_order} != layer order {t}")
-    if f.base_channels != layer.in_channels:
-        raise ValueError(f"feature map has {f.base_channels} channels, layer expects {layer.in_channels}")
-    h, w = f.height, f.width
-    flat = f.data.reshape(h, w, t * layer.in_channels)
-    out = correlate_stack(flat, weights)
-    return GroupFeatureMap(out.reshape(h, w, t, layer.out_channels), mesh=f.mesh)
+def group_conv(f: np.ndarray, layer: GroupConv, weights: np.ndarray) -> np.ndarray:
+    """(H, W, t, Cin) group map -> (H, W, t, Cout), with weight bank `weights` (layer.weights())."""
+    return correlate_stack(f.reshape(*f.shape[:2], -1), weights).reshape(*f.shape[:3], layer.out_channels)
 
 
 def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
@@ -645,22 +623,32 @@ def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
 
 def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None, entries: list | None = None):
     """The layer loop of ``forward`` and ``training.forward_with_tape``: with an
-    `entries` list, each layer records instead and appends (layer, saved)."""
-    value = x
+    `entries` list, each layer records instead and appends (layer, saved).
+
+    Layers see bare arrays; a layer output with a NaN or an infinite entry
+    raises NonFiniteError naming the layer, and the final output is wrapped
+    once, on the input's mesh.
+    """
+    if net.layers and x.channels != net.layers[0].in_channels:
+        raise ValueError(f"image has {x.channels} channels, network expects {net.layers[0].in_channels}")
+    value = x.data
     keep = net.read_outputs()
     activations = {}
     if banks is None:
         banks = weight_banks(net)
     for idx, layer in enumerate(net.layers):
-        args = (value, activations, x, *([banks[idx]] if idx in banks else []))
+        args = (value, activations, *([banks[idx]] if idx in banks else []))
         if entries is None:
             value = layer.forward(*args)
         else:
             value, saved = layer.record(*args)
             entries.append((layer, saved))
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"layer {idx} ({layer.kind}) output contains non-finite entries")
         if idx in keep:
             activations[idx] = value
-    return value
+    grid = PlanarImage if net.output_state()[0] == "planar" else GroupFeatureMap
+    return grid(value, mesh=x.mesh)
 
 
 def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):

@@ -15,7 +15,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .grids import PlanarImage
+from .grids import NonFiniteError, PlanarImage
 from .layers import correlate_stack
 from .prox import _check_int, _check_real
 
@@ -140,7 +140,8 @@ class UnfoldingConfig:
 
 
 class SolverDivergence(RuntimeError):
-    """Raised when an iterate goes non-finite; .step is the offending step."""
+    """Raised when an iterate, or a value inside its step (a prox network's
+    layer output), goes non-finite; .step is the offending step."""
 
     def __init__(self, step: int):
         super().__init__(f"non-finite iterate at step {step}")
@@ -184,9 +185,14 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
     # an iterate repeats, the sequence has that period.
     seen, seen_step, step, calls = _state(x), 0, 0, 0
     while step < cfg.steps:
-        x = ista_step(x, y, op, cfg)
         step += 1
         calls += 1
+        try:
+            # a non-finite value is reported as divergence, not as a numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = ista_step(x, y, op, cfg)
+        except NonFiniteError:
+            raise SolverDivergence(step) from None
         if not np.all(np.isfinite(x.data)):
             raise SolverDivergence(step)
         state = _state(x)

@@ -42,8 +42,8 @@ def read_eqt1(path) -> np.ndarray:
     return data.reshape(dims)
 
 
-def write_pgm(path, data, maxval: int = 65535) -> None:
-    """Write a grayscale image with values in [0, 1]; samples are big-endian per PGM."""
+def write_pgm(path, data) -> None:
+    """Write a grayscale image with values in [0, 1] as 16-bit samples (maxval 65535), big-endian per PGM."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 3:
         if arr.shape[2] != 1:
@@ -51,13 +51,10 @@ def write_pgm(path, data, maxval: int = 65535) -> None:
         arr = arr[:, :, 0]
     if arr.ndim != 2:
         raise ValueError(f"PGM data must be 2D, got shape {arr.shape}")
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
-    quant = np.clip(np.rint(arr * maxval), 0, maxval)
-    dtype = ">u1" if maxval <= 255 else ">u2"
+    quant = np.clip(np.rint(arr * 65535), 0, 65535)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii"))
-        fh.write(quant.astype(dtype).tobytes())
+        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii"))
+        fh.write(quant.astype(">u2").tobytes())
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

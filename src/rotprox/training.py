@@ -116,8 +116,8 @@ class Adam:
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the epoch loss passes 1e6 or is not finite, or when a feature
-    map turns non-finite (that epoch's loss then reads nan); .trace holds
+    """Raised when the epoch loss passes 1e6 or is not finite, or when a layer
+    output turns non-finite (that epoch's loss then reads nan); .trace holds
     losses up to the abort."""
 
     def __init__(self, trace: list[float]):

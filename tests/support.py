@@ -132,17 +132,16 @@ class PlainConv:
             raise ValueError(f"PlainConv expects {self.in_channels} channels, chain has {c}")
         return ("planar", self.out_channels)
 
-    def forward(self, value, activations, x0):
+    def forward(self, value, activations):
         taps = np.tensordot(self.coeffs, basis_stack(self.basis, 0.0), axes=([2], [0]))
-        out = np.zeros(value.data.shape[:2] + (self.out_channels,))
+        out = np.zeros(value.shape[:2] + (self.out_channels,))
         for o in range(self.out_channels):
             for i in range(self.in_channels):
-                plane = value.data[:, :, i]
-                out[:, :, o] += scipy.signal.correlate2d(plane, taps[o, i], mode="same")
-        return PlanarImage(out, mesh=value.mesh)
+                out[:, :, o] += scipy.signal.correlate2d(value[:, :, i], taps[o, i], mode="same")
+        return out
 
-    def record(self, value, activations, x0):
-        return self.forward(value, activations, x0), value.data
+    def record(self, value, activations):
+        return self.forward(value, activations), value
 
     def grads(self, g, saved):
         m = self.basis.filter_size // 2
@@ -411,7 +410,7 @@ def act_on_feature_map(f: GroupFeatureMap, theta: float, k: int) -> GroupFeature
     Convention (pinned by tests): rotating the network input by +2*pi/t corresponds
     to k = +1 here.
     """
-    t = f.group_order
+    t = f.data.shape[2]
     if not (isinstance(k, (int, np.integer)) and 0 <= k < t):
         raise ValueError(f"orientation shift k={k} out of range for group order {t}")
     h, w, _, c = f.data.shape
@@ -609,13 +608,13 @@ def sample_grad_config(family: str, rng):
 
 def min_relu_gap(net, x: PlanarImage) -> float:
     """Smallest |pre-activation| any ReLU in the net sees on input x."""
-    value = x
+    value = x.data
     activations = []
     banks = weight_banks(net)
     gap = np.inf
     for idx, layer in enumerate(net.layers):
         if isinstance(layer, ReLU):
-            gap = min(gap, float(np.min(np.abs(value.data))))
-        value = layer.forward(value, activations, x, *([banks[idx]] if idx in banks else []))
+            gap = min(gap, float(np.min(np.abs(value))))
+        value = layer.forward(value, activations, *([banks[idx]] if idx in banks else []))
         activations.append(value)
     return gap

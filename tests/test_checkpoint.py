@@ -30,7 +30,7 @@ def _without(entry: dict, key: str) -> dict:
     return {k: v for k, v in entry.items() if k != key}
 
 
-# Header edits that once escaped load() as KeyError or TypeError.
+# Header edits that load() must reject with a ValueError; most once escaped as KeyError or TypeError.
 MALFORMED_HEADERS = {
     "lift_without_cutoff": lambda h: dict(h, layers=[_without(h["layers"][0], "cutoff")] + h["layers"][1:]),
     "group_conv_without_group_order": lambda h: dict(
@@ -47,6 +47,9 @@ MALFORMED_HEADERS = {
     "kind_is_list": lambda h: dict(h, layers=[dict(h["layers"][0], kind=["lift"])] + h["layers"][1:]),
     "negative_channels": lambda h: dict(
         h, layers=[dict(l, channels=-1) if l["kind"] == "bias" else l for l in h["layers"]]
+    ),
+    "residual_to_network_input": lambda h: dict(
+        h, layers=[dict(l, skip=-1) if l["kind"] == "residual_add" else l for l in h["layers"]]
     ),
 }
 

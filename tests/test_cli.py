@@ -666,6 +666,23 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_diverging_neural_solve_exits_one(self, tmp_path):
+        net = init_network(make_denoiser_net(), 0)
+        for _, _, arr in parameters(net):
+            arr *= 1e80
+        ckpt = save_checkpoint(net, tmp_path / "huge.eqck")
+        cfg = write_config(tmp_path, {"image_size": 16, "prox": {"kind": "neural", "checkpoint": str(ckpt)}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotprox.cli", "denoise", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "solver diverged at step 1" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["audit-equivariance", "train"])
     def test_zero_channels_exits_two(self, tmp_path, command):
         cfg = write_config(tmp_path, {"channels": 0})

@@ -1,4 +1,5 @@
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from support import best_subset_support, plain_ista
 from rotprox import (
     BlurDownsample,
     Identity,
+    NeuralProx,
     PlanarImage,
     SoftThreshold,
     SolverDivergence,
@@ -16,8 +18,11 @@ from rotprox import (
     degrade,
     estimate_lipschitz,
     gaussian_kernel,
+    init_network,
     ista_solve,
     ista_step,
+    make_denoiser_net,
+    parameters,
     psnr,
     rotate_image,
 )
@@ -184,6 +189,19 @@ class TestIstaSolve:
         with pytest.raises(SolverDivergence) as err:
             ista_solve(y, Identity(), UnfoldingConfig(10, 0.5, bad_prox))
         assert err.value.step == 3
+
+    def test_overflowing_prox_network_is_divergence(self):
+        # the network overflows inside its first call, before any iterate is
+        # built: that is divergence at step 1, with no numpy warning on the way
+        net = init_network(make_denoiser_net(), 0)
+        for _, _, arr in parameters(net):
+            arr *= 1e80
+        y = degrade(Identity(), synthetic_image(16, 0), 0.1, seed=36)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverDivergence) as err:
+                ista_solve(y, Identity(), UnfoldingConfig(5, None, NeuralProx(net)))
+        assert err.value.step == 1
 
     def test_quarter_turn_covariance(self):
         # identity operator + pointwise prox: the whole solve commutes exactly

@@ -65,33 +65,33 @@ class TestPgm:
         assert np.max(np.abs(back - img)) <= 0.5 / 65535 + 1e-12
 
     def test_roundtrip_8bit(self, tmp_path):
-        img = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        # the writer is 16-bit only; an 8-bit file comes from elsewhere, one byte per sample
         path = tmp_path / "t.pgm"
-        write_pgm(path, img, maxval=255)
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(range(0, 256, 17)))
         back, maxval = read_pgm(path)
         assert maxval == 255
-        assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
+        np.testing.assert_array_equal(back, np.linspace(0.0, 1.0, 16).reshape(4, 4))
 
     def test_grid_levels_are_exact(self, tmp_path):
-        # values on the quantization grid survive the roundtrip untouched
-        img = np.array([[0.0, 1.0], [37 / 255, 200 / 255]])
+        # values on the 16-bit quantization grid survive the roundtrip untouched
+        img = np.array([[0.0, 1.0], [37 / 65535, 51400 / 65535]])
         path = tmp_path / "t.pgm"
-        write_pgm(path, img, maxval=255)
+        write_pgm(path, img)
         back, _ = read_pgm(path)
         np.testing.assert_allclose(back, img, atol=1e-15)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "t.pgm"
-        write_pgm(path, np.zeros((2, 3)), maxval=255)
+        write_pgm(path, np.zeros((2, 3)))
         blob = path.read_bytes()
-        assert blob.startswith(b"P5\n3 2\n255\n")
-        assert len(blob) == len(b"P5\n3 2\n255\n") + 6
+        assert blob.startswith(b"P5\n3 2\n65535\n")
+        assert len(blob) == len(b"P5\n3 2\n65535\n") + 12
 
     def test_big_endian_16bit_samples(self, tmp_path):
         path = tmp_path / "t.pgm"
-        write_pgm(path, np.array([[1.0]]), maxval=65535)
+        write_pgm(path, np.array([[1.0]]))
         assert path.read_bytes().endswith(b"\xff\xff")
-        write_pgm(path, np.array([[256 / 65535]]), maxval=65535)
+        write_pgm(path, np.array([[256 / 65535]]))
         assert path.read_bytes().endswith(b"\x01\x00")
 
     def test_comment_in_header(self, tmp_path):
@@ -114,15 +114,16 @@ class TestPgm:
 
     def test_values_clip_to_range(self, tmp_path):
         path = tmp_path / "t.pgm"
-        write_pgm(path, np.array([[-0.5, 1.5]]), maxval=255)
+        write_pgm(path, np.array([[-0.5, 1.5]]))
         back, _ = read_pgm(path)
         np.testing.assert_allclose(back, np.array([[0.0, 1.0]]))
 
     def test_bad_maxval_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="maxval"):
-            write_pgm(tmp_path / "t.pgm", np.zeros((2, 2)), maxval=0)
-        with pytest.raises(ValueError, match="maxval"):
-            write_pgm(tmp_path / "t.pgm", np.zeros((2, 2)), maxval=70000)
+        path = tmp_path / "t.pgm"
+        for maxval in (0, 70000):
+            path.write_bytes(b"P5\n1 1\n%d\n\x00\x00" % maxval)
+            with pytest.raises(ValueError, match="maxval"):
+                read_pgm(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
