@@ -301,12 +301,13 @@ def _restore(cfg: dict, out_dir: Path, op, stem: str) -> int:
         truth = clean
     run = UnfoldingConfig(steps=cfg["steps"], step_size=cfg["step_size"], prox=_build_prox(cfg["prox"]))
     try:
-        xhat, _ = ista_solve(y, op, run)
+        xhat, calls = ista_solve(y, op, run)
     except SolverDivergence as exc:
         print(f"solver diverged at step {exc.step}", file=sys.stderr)
         return 1
     path = _write_image(out_dir, stem, cfg["format"], xhat, cfg["input"])
     print(f"wrote: {path}")
+    print(f"prox_calls: {calls}/{run.steps}")
     if truth is not None:
         _print_psnr(xhat, truth)
     return 0

@@ -1,7 +1,10 @@
 """ISTA proximal-gradient solver over pluggable degradation operators.
 
 The data term is 1/2 ||A x - y||^2 (Frobenius), so its gradient is
-A^T (A x - y) and the classical step-size bound is 1/||A||^2. Degradation
+A^T (A x - y) and the classical step-size bound is 1/||A||^2. A step computes
+prox((x - eta A^T A x) + eta A^T y) in that order, with A^T y formed once per
+solve: for A = I at eta = 1 the prox input is y bit for bit, so a denoise
+solve repeats its first iterate and stops after 2 prox calls. Degradation
 operators expose exact apply/adjoint pairs; blur-downsample keeps the
 upper-left pixel of each s x s block and its adjoint zero-stuffs before
 the transposed blur.
@@ -105,8 +108,10 @@ def degrade(op: DegradationOp, x: PlanarImage, noise_sigma: float, seed: int) ->
 
 
 def estimate_lipschitz(op: DegradationOp, y: PlanarImage) -> float:
-    """Largest eigenvalue of A^T A (= ||A||^2) by 50 power-iteration steps from a
-    seed-0 Gaussian start."""
+    """Largest eigenvalue of A^T A (= ||A||^2): exactly 1 for the identity,
+    otherwise by 50 power-iteration steps from a seed-0 Gaussian start."""
+    if isinstance(op, Identity):
+        return 1.0
     v = np.random.default_rng(0).standard_normal(op.domain_shape(y))
     v /= np.linalg.norm(v)
     mesh = y.mesh * op.scale
@@ -148,19 +153,14 @@ class SolverDivergence(RuntimeError):
         self.step = step
 
 
-def _gradient(x: PlanarImage, y: PlanarImage, op: DegradationOp) -> PlanarImage:
-    residual = PlanarImage(op.apply(x).data - y.data, mesh=y.mesh)
-    return op.adjoint(residual)
-
-
-def ista_step(x_t: PlanarImage, y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> PlanarImage:
-    """prox(x - eta * A^T(Ax - y)): one proximal-gradient step."""
+def ista_step(x_t: PlanarImage, aty: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> PlanarImage:
+    """prox((x - eta * A^T A x) + eta * A^T y): one proximal-gradient step,
+    given aty = A^T y."""
     eta = cfg.step_size
     if eta is None:
         raise ValueError("step_size must be resolved before stepping")
-    grad = _gradient(x_t, y, op)
-    shifted = PlanarImage(x_t.data - eta * grad.data, mesh=x_t.mesh)
-    return cfg.prox(shifted)
+    normal = op.adjoint(op.apply(x_t)).data
+    return cfg.prox(PlanarImage((x_t.data - eta * normal) + eta * aty.data, mesh=x_t.mesh))
 
 
 def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple[PlanarImage, int]:
@@ -179,7 +179,7 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
         raise ValueError(
             f"step_size {cfg.step_size} exceeds 1/L_A = {1.0 / lip:.6g}"
         )
-    x = op.adjoint(y)
+    x = aty = op.adjoint(y)
     # Brent's cycle finder: `seen` is the iterate at step `seen_step`, moved
     # on at power-of-two steps. The step map is a function of x alone, so once
     # an iterate repeats, the sequence has that period.
@@ -190,7 +190,7 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
         try:
             # a non-finite value is reported as divergence, not as a numpy warning
             with np.errstate(over="ignore", invalid="ignore"):
-                x = ista_step(x, y, op, cfg)
+                x = ista_step(x, aty, op, cfg)
         except NonFiniteError:
             raise SolverDivergence(step) from None
         if not np.all(np.isfinite(x.data)):

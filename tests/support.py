@@ -395,7 +395,7 @@ def plain_ista(y: PlanarImage, op, cfg: UnfoldingConfig):
 
     xs = [op.adjoint(y)]
     for _ in range(cfg.steps):
-        xs.append(ista_step(xs[-1], y, op, cfg))
+        xs.append(ista_step(xs[-1], xs[0], op, cfg))
     return xs, [objective(x) for x in xs]
 
 

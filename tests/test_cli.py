@@ -393,6 +393,15 @@ class TestDenoise:
         restored = read_eqt1(out / "denoised.eqt1")
         np.testing.assert_array_equal(restored, synthetic_image(16, 4, mesh=1.0).data)
 
+    def test_default_run_prints_prox_calls(self, tmp_path, capsys):
+        # at the default step every stage's prox input is y, so the second
+        # iterate repeats the first and the other 98 steps are skipped
+        rc = main(["denoise", "--out", str(tmp_path / "den")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0].startswith("wrote: ")
+        assert lines[1] == "prox_calls: 2/100"
+
     def test_astronomical_step_count_exits_zero(self, tmp_path, capsys):
         # the cycle skip jumps over the 2**70 steps without recording a trace
         cfg = write_config(tmp_path, {"image_size": 8, "steps": 2**70})
@@ -489,6 +498,13 @@ class TestSuperResolve:
         assert rc == 0
         assert read_eqt1(out / "restored.eqt1").shape == (32, 32, 1)
         assert float(read_psnr(stdout)) > 15.0
+
+    def test_default_run_prints_prox_calls(self, tmp_path, capsys):
+        rc = main(["sr", "--out", str(tmp_path / "sr")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0].startswith("wrote: ")
+        assert lines[1] == "prox_calls: 200/200"
 
     def test_scale_must_divide_image(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"image_size": 33, "steps": 1})
