@@ -30,8 +30,6 @@ from .filters import (
 )
 from .grids import (
     DegenerateReferenceError,
-    GroupFeatureMap,
-    GroupSpec,
     NonFiniteError,
     PlanarImage,
     relative_difference,

@@ -120,15 +120,13 @@ def bound_inputs_for(net: NetworkSpec, images: Sequence[PlanarImage]) -> BoundIn
     image. Mixed filter sizes report the largest p (conservative in both terms).
     """
     convs = net.conv_layers
-    if not convs:
-        raise ValueError("network has no convolution layers")
     if not images:
         raise ValueError("empty image set")
     mesh = images[0].mesh
     for img in images:
         if img.mesh != mesh:
             raise ValueError("images must share one mesh")
-    t = net.group.order
+    t = net.group_order
     layer_bounds = []
     for layer in convs:
         sb = bounds_from_coefficients(layer.basis, layer.coeffs)
@@ -183,18 +181,15 @@ def measure_equivariance(
 ) -> EquivarianceReport:
     """Relative equivariance error of `net` over (image, angle) pairs.
 
-    The net must map images to images (end in an OrientationPool). `angles` is
-    either an explicit angle list (shared by all images) or a count of uniform
-    draws from (-pi, pi] per image, from the seeded generator. Errors crop the
-    receptive ring. With `bound_inputs` supplied the report carries the
+    `angles` is either an explicit angle list (shared by all images) or a count
+    of uniform draws from (-pi, pi] per image, from the seeded generator. Errors
+    crop the receptive ring. With `bound_inputs` supplied the report carries the
     analytic bound and whether every error sits below it.
     """
     if len(images) == 0:
         raise ValueError("empty image set")
     if (angles if isinstance(angles, int) else len(angles)) < 1:
         raise ValueError(f"angles must be a count >= 1 or a nonempty list of angles, got {angles!r}")
-    if net.output_state()[0] != "planar":
-        raise ValueError("equivariance is audited on a planar output; end the net with an OrientationPool")
     crop = net.receptive_radius
     banks = weight_banks(net)
     rng = np.random.default_rng(seed)
@@ -222,8 +217,8 @@ def measure_equivariance(
         mean_error=mean_error,
         bound=bound,
         bound_satisfied=satisfied,
-        t=net.group.order,
-        p=max((l.basis.filter_size for l in convs), default=0),
+        t=net.group_order,
+        p=max(l.basis.filter_size for l in convs),
         N=len(convs),
     )
 

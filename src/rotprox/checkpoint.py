@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GroupSpec
 from .layers import LAYER_KINDS, NetworkSpec, parameters
 
 MAGIC = b"EQCK"
@@ -30,7 +29,7 @@ class ChecksumError(ValueError):
 def save(net: NetworkSpec, path) -> Path:
     """Serialize the network; returns the written path."""
     header = {
-        "group_order": net.group.order,
+        "group_order": net.group_order,
         "layers": [layer.to_header() for layer in net.layers],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -76,4 +75,8 @@ def load(path) -> NetworkSpec:
         layers.append(layer)
     if offset != payload.size:
         raise ValueError(f"checkpoint payload has {payload.size - offset} unread values")
-    return NetworkSpec(layers, GroupSpec(header.get("group_order")))
+    net = NetworkSpec(layers)
+    order = header.get("group_order")
+    if type(order) is not int or order != net.group_order:
+        raise ValueError(f"checkpoint group order {order!r} does not match its Lift's order {net.group_order}")
+    return net

@@ -172,9 +172,9 @@ def _resolve(defaults: dict, args) -> dict:
     cfg = _merge(defaults, _load_config(args.config), "config")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    seed = cfg["seed"]  # an int: typed by the schema, or by argparse for --seed
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    for key, value in cfg.items():  # each seed is an int: typed by the schema, or by argparse for --seed
+        if key.endswith("seed") and not 0 <= value < 2**64:
+            raise ConfigError(f"{key} must be an integer in [0, 2^64), got {value!r}")
     return cfg
 
 

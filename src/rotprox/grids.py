@@ -1,4 +1,4 @@
-"""Dense image and group-feature-map values plus the plane rotation of images.
+"""Dense planar images plus their plane rotation and relative error metric.
 
 Every equivariance statement in this package is written against the rotation
 defined here: an exact index permutation for quarter turns on square grids,
@@ -21,27 +21,27 @@ class DegenerateReferenceError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """An image or feature map holds a NaN or an infinite entry."""
+    """An image or a layer output holds a NaN or an infinite entry."""
 
 
 @dataclass(frozen=True)
-class _Grid:
-    """Shared validation: finite float64 samples of the subclass's rank, made
-    contiguous and read-only, on a positive real `mesh`."""
+class PlanarImage:
+    """H x W x C grid sampled from a continuous image with physical spacing `mesh`:
+    finite float64 samples, made contiguous and read-only (one channel may omit C)."""
 
     data: np.ndarray
     mesh: float = 1.0
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim == 2 and len(self._axes) == 3:  # a one-channel image may omit C
+        if arr.ndim == 2:
             arr = arr[:, :, None]
-        if arr.ndim != len(self._axes):
-            raise ValueError(f"{self._kind} data must be ({', '.join(self._axes)}), got shape {arr.shape}")
+        if arr.ndim != 3:
+            raise ValueError(f"planar image data must be (H, W, C), got shape {arr.shape}")
         if min(arr.shape) < 1:
-            raise ValueError(f"empty {self._noun} shape {arr.shape}")
+            raise ValueError(f"empty image shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"{self._noun} contains non-finite entries")
+            raise NonFiniteError("image contains non-finite entries")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -57,35 +57,9 @@ class _Grid:
     def width(self) -> int:
         return self.data.shape[1]
 
-
-@dataclass(frozen=True)
-class PlanarImage(_Grid):
-    """H x W x C grid sampled from a continuous image with physical spacing `mesh`."""
-
-    _kind, _noun, _axes = "planar image", "image", ("H", "W", "C")
-
     @property
     def channels(self) -> int:
         return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class GroupFeatureMap(_Grid):
-    """H x W x t x C grid; axis 2 is the orientation fiber of a cyclic group of order t."""
-
-    _kind, _noun, _axes = "group feature map", "feature map", ("H", "W", "t", "C")
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Cyclic rotation group C_t; element k acts by the angle 2*pi*k/t."""
-
-    order: int
-
-    def __post_init__(self):
-        if isinstance(self.order, bool) or not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
-            raise ValueError(f"group order must be a positive integer, got {self.order}")
-        object.__setattr__(self, "order", int(self.order))
 
 
 def _quarter_multiple(theta: float) -> int | None:
@@ -153,10 +127,8 @@ def _cropped(data: np.ndarray, crop: int) -> np.ndarray:
     return data[crop : h - crop, crop : w - crop]
 
 
-def relative_difference(a, b, crop: int = 0) -> float:
+def relative_difference(a: PlanarImage, b: PlanarImage, crop: int = 0) -> float:
     """||a - b||_2 / ||b||_2 on the central region after removing `crop` border pixels."""
-    if type(a) is not type(b):
-        raise ValueError(f"mismatched operand types {type(a).__name__} vs {type(b).__name__}")
     if a.data.shape != b.data.shape:
         raise ValueError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
     da = _cropped(a.data, crop)

@@ -39,10 +39,15 @@ serialization are plain loops over these methods:
   layer's EQCK v1 header entry; ``from_header`` returns the layer and the
   payload offset after its arrays.
 
+``NetworkSpec(layers)`` is the one place that knows what a prox network is: a
+nonempty chain that maps images to images, so a group chain ends in an
+``OrientationPool``. Its order t (the ``check`` argument) is its ``Lift``'s
+order, or 1 without a ``Lift``; every ``GroupConv`` must match it.
+
 Inside a pass, values are bare float64 arrays: (H, W, C) for a planar map and
 (H, W, t, C) for a group map. Only the pass itself (``_pass``) knows about
-``PlanarImage``/``GroupFeatureMap``: it checks the input's channel count, checks
-every layer output for non-finite entries, and wraps the final output.
+``PlanarImage``: it checks the input's channel count, checks every layer output
+for non-finite entries, and wraps the final output.
 
 Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
 A weight bank is a function of the coefficients alone, so ``weight_banks(net)``
@@ -53,13 +58,13 @@ builds every conv's bank once for the net's current parameters, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .filters import FourierBasis, basis_stack, init_coefficients
-from .grids import GroupFeatureMap, GroupSpec, NonFiniteError, PlanarImage
+from .grids import NonFiniteError, PlanarImage
 
 
 # Floor, in bytes, on one band's im2col patch matrix in _correlate_im2col.
@@ -348,13 +353,15 @@ class Lift(_Conv):
     in_orientations = 1
 
     def __post_init__(self):
+        t = self.group_order
+        if isinstance(t, bool) or not (isinstance(t, (int, np.integer)) and t >= 1):
+            raise ValueError(f"group order must be a positive integer, got {t}")
+        self.group_order = int(t)
         self._check_channels()
         expected = (self.out_channels, self.in_channels, self.basis.size)
         self.coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
         if self.coeffs.shape != expected:
             raise ValueError(f"lift coeffs shape {self.coeffs.shape} != {expected}")
-        if self.group_order < 1:
-            raise ValueError(f"group order must be >= 1, got {self.group_order}")
 
     def check(self, states, t, last):
         kind, c = states[-1]
@@ -362,8 +369,6 @@ class Lift(_Conv):
             raise ValueError("second Lift in one network")
         if c is not None and c != self.in_channels:
             raise ValueError(f"Lift expects {self.in_channels} channels, chain has {c}")
-        if self.group_order != t:
-            raise ValueError(f"Lift group order {self.group_order} != network order {t}")
         return ("group", self.out_channels)
 
     def forward(self, value, activations, weights):
@@ -564,13 +569,17 @@ LAYER_KINDS = {cls.kind: cls for cls in (Lift, GroupConv, Bias, ReLU, ResidualAd
 
 @dataclass
 class NetworkSpec:
-    """Validated layer chain; shapes are checked here, not at forward time."""
+    """Validated layer chain from images to images; checked here, not at forward time."""
 
     layers: list
-    group: GroupSpec = field(default_factory=lambda: GroupSpec(1))
 
     def __post_init__(self):
-        self._states = _validate_chain(self.layers, self.group)
+        self._states = _validate_chain(self.layers, self.group_order)
+
+    @property
+    def group_order(self) -> int:
+        """The Lift's group order; 1 for a chain without a Lift."""
+        return next((l.group_order for l in self.layers if isinstance(l, Lift)), 1)
 
     @property
     def receptive_radius(self) -> int:
@@ -580,25 +589,29 @@ class NetworkSpec:
     def conv_layers(self) -> list:
         return [l for l in self.layers if hasattr(l, "basis")]
 
-    def output_state(self) -> tuple[str, int]:
-        """("planar"|"group", channels) of the network output."""
-        return self._states[-1]
+    @property
+    def out_channels(self) -> int:
+        return self._states[-1][1]
 
     def read_outputs(self) -> frozenset[int]:
         """Indices of the layers whose outputs a later layer reads."""
         return frozenset(i for layer in self.layers for i in layer.reads)
 
 
-def _validate_chain(layers, group: GroupSpec) -> list[tuple[str, int]]:
+def _validate_chain(layers, t: int) -> list[tuple[str, int]]:
     """Chain states: the network input (channels fixed by the first conv), then one per layer."""
+    if not layers:
+        raise ValueError("a network needs at least one layer")
     states = [("planar", None)]
     for idx, layer in enumerate(layers):
         if not hasattr(layer, "check"):
             raise ValueError(f"layer {idx}: unknown layer {layer!r}")
         try:
-            states.append(layer.check(states, group.order, idx == len(layers) - 1))
+            states.append(layer.check(states, t, idx == len(layers) - 1))
         except ValueError as exc:
             raise ValueError(f"layer {idx}: {exc}") from None
+    if states[-1][0] != "planar":
+        raise ValueError("a network maps images to images: end a group chain with an OrientationPool")
     return states
 
 
@@ -629,7 +642,7 @@ def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None,
     raises NonFiniteError naming the layer, and the final output is wrapped
     once, on the input's mesh.
     """
-    if net.layers and x.channels != net.layers[0].in_channels:
+    if x.channels != net.layers[0].in_channels:
         raise ValueError(f"image has {x.channels} channels, network expects {net.layers[0].in_channels}")
     value = x.data
     keep = net.read_outputs()
@@ -647,12 +660,11 @@ def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None,
             raise NonFiniteError(f"layer {idx} ({layer.kind}) output contains non-finite entries")
         if idx in keep:
             activations[idx] = value
-    grid = PlanarImage if net.output_state()[0] == "planar" else GroupFeatureMap
-    return grid(value, mesh=x.mesh)
+    return PlanarImage(value, mesh=x.mesh)
 
 
-def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):
-    """Run the network; returns a PlanarImage or GroupFeatureMap per the layer chain.
+def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None) -> PlanarImage:
+    """Run the network on an image.
 
     `banks` (from ``weight_banks``) supplies each conv's weight bank; without it
     the pass builds them from the current coefficients.
@@ -685,7 +697,6 @@ def make_audit_net(
     if n_conv < 1:
         raise ValueError("need at least one convolution layer")
     basis = FourierBasis(p, cutoff)
-    group = GroupSpec(t)
     nb = basis.size
     layers: list = [Lift(1, channels, t, basis, np.zeros((channels, 1, nb)))]
     for _ in range(n_conv - 1):
@@ -693,7 +704,7 @@ def make_audit_net(
         layers.append(ReLU())
         layers.append(GroupConv(channels, channels, basis, np.zeros((channels, channels, t, nb))))
     layers.append(OrientationPool())
-    return init_network(NetworkSpec(layers, group), seed)
+    return init_network(NetworkSpec(layers), seed)
 
 
 def make_sweep_net(
@@ -715,7 +726,6 @@ def make_sweep_net(
     """
     b_lift = FourierBasis(5, 2)
     b_deep = FourierBasis(9, 4)
-    group = GroupSpec(t)
     c = channels
     rng = np.random.default_rng(seed)
     lift_coeffs = init_coefficients(rng, (c, 1, b_lift.size), 1, 5)
@@ -737,7 +747,7 @@ def make_sweep_net(
         GroupConv(c, c, b_deep, gc2),
         OrientationPool(),
     ]
-    return NetworkSpec(layers, group)
+    return NetworkSpec(layers)
 
 
 def make_denoiser_net(
@@ -752,7 +762,6 @@ def make_denoiser_net(
     identity map. ``init_network`` redraws that conv too, so a net passed through
     it (as by ``rotprox train``) does not start as the identity."""
     basis = FourierBasis(p, cutoff)
-    group = GroupSpec(t)
     nb = basis.size
     c = channels
     layers: list = [
@@ -769,6 +778,6 @@ def make_denoiser_net(
         GroupConv(c, 1, basis, np.zeros((1, c, t, nb))),
         OrientationPool(),
     ]
-    net = init_network(NetworkSpec(layers, group), seed)
+    net = init_network(NetworkSpec(layers), seed)
     net.layers[10].coeffs = np.zeros_like(net.layers[10].coeffs)
     return net

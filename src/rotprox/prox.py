@@ -189,8 +189,7 @@ def _tv_prox_plane(f: np.ndarray, w: float, tol: float, max_iter: int):
 
 def neural_prox(x: PlanarImage, net: NetworkSpec, banks: dict[int, np.ndarray] | None = None) -> PlanarImage:
     """Identity plus learned correction: x + forward(net, x, banks)."""
-    kind, channels = net.output_state()
-    if kind != "planar" or (channels is not None and channels != x.channels):
+    if net.out_channels != x.channels:
         raise ValueError("proximal network must map the image space to itself")
     correction = forward(net, x, banks)
     return PlanarImage(x.data + correction.data, mesh=x.mesh)

@@ -142,13 +142,10 @@ def train_denoiser(
     """
     if not pairs:
         raise ValueError("empty training set")
-    kind, channels = net.output_state()
-    if kind != "planar":
-        raise ValueError("denoiser must produce a planar image")
     for clean, noisy in pairs:
         if clean.data.shape != noisy.data.shape:
             raise ValueError("clean/noisy shape mismatch")
-        if channels is not None and noisy.channels != channels:
+        if noisy.channels != net.out_channels:
             raise ValueError("image channels do not match the network output")
 
     def batch_loss_only() -> float:

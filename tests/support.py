@@ -32,8 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from rotprox import (
     Bias,
     FourierBasis,
-    GroupFeatureMap,
-    GroupSpec,
     Lift,
     NetworkSpec,
     OrientationPool,
@@ -403,20 +401,18 @@ def param_count(net: NetworkSpec) -> int:
     return sum(arr.size for _, _, arr in parameters(net))
 
 
-def act_on_feature_map(f: GroupFeatureMap, theta: float, k: int) -> GroupFeatureMap:
-    """Apply the feature-map rotation action: rotate every (o, c) slice spatially by
-    theta and shift the orientation fiber o -> (o + k) mod t.
+def act_on_feature_map(f: np.ndarray, theta: float, k: int) -> np.ndarray:
+    """Apply the feature-map rotation action to an (H, W, t, C) array: rotate every
+    (o, c) slice spatially by theta and shift the orientation fiber o -> (o + k) mod t.
 
     Convention (pinned by tests): rotating the network input by +2*pi/t corresponds
     to k = +1 here.
     """
-    t = f.data.shape[2]
+    h, w, t, c = f.shape
     if not (isinstance(k, (int, np.integer)) and 0 <= k < t):
         raise ValueError(f"orientation shift k={k} out of range for group order {t}")
-    h, w, _, c = f.data.shape
-    stacked = PlanarImage(f.data.reshape(h, w, t * c), mesh=f.mesh)
-    rotated = rotate_image(stacked, theta).data.reshape(h, w, t, c)
-    return GroupFeatureMap(np.roll(rotated, shift=int(k), axis=2), mesh=f.mesh)
+    rotated = rotate_image(PlanarImage(f.reshape(h, w, t * c)), theta).data.reshape(h, w, t, c)
+    return np.roll(rotated, shift=int(k), axis=2)
 
 
 def refinement_errors(p_list=(5, 9, 17), image_count: int = 3, base_size: int = 32) -> list[float]:
@@ -442,10 +438,7 @@ def refinement_errors(p_list=(5, 9, 17), image_count: int = 3, base_size: int = 
         h = base_mesh / scale
         size = base_size * scale
         images = [sample_field(f, size, size, h) for f in fields]
-        net = NetworkSpec(
-            [Lift(1, channels, t, FourierBasis(p, cutoff), coeffs), OrientationPool()],
-            GroupSpec(t),
-        )
+        net = NetworkSpec([Lift(1, channels, t, FourierBasis(p, cutoff), coeffs), OrientationPool()])
         report = measure_equivariance(net, images, angles=[2.0 * math.pi / t])
         means.append(report.mean_error)
     return means
@@ -556,11 +549,8 @@ def sample_grad_config(family: str, rng):
         c = int(rng.integers(1, 4))
         p, cutoff = (3, 1) if rng.random() < 0.5 else (5, 2)
         basis = FourierBasis(p, cutoff)
-        net = NetworkSpec(
-            [Lift(1, c, t, basis, 0.5 * rng.standard_normal((c, 1, basis.size)))],
-            GroupSpec(t),
-        )
-        out_shape = (size, size, t, c)
+        net = NetworkSpec([Lift(1, c, t, basis, 0.5 * rng.standard_normal((c, 1, basis.size))), OrientationPool()])
+        out_shape = (size, size, c)
     elif family == "group_conv":
         t = int(rng.choice([1, 2, 3, 4]))
         c = int(rng.integers(1, 3))
@@ -571,10 +561,10 @@ def sample_grad_config(family: str, rng):
                 Bias(0.1 * rng.standard_normal(c)),
                 ReLU(),
                 GroupConv(c, c, basis, 0.5 * rng.standard_normal((c, c, t, basis.size))),
-            ],
-            GroupSpec(t),
+                OrientationPool(),
+            ]
         )
-        out_shape = (size, size, t, c)
+        out_shape = (size, size, c)
     elif family == "pooled":
         t = int(rng.choice([1, 2, 4]))
         c = int(rng.integers(2, 4))

@@ -9,11 +9,7 @@ from rotprox import (
     DegenerateReferenceError,
     EquivarianceReport,
     REGULARIZER_KINDS,
-    FourierBasis,
-    GroupSpec,
     LayerBounds,
-    Lift,
-    NetworkSpec,
     PlanarImage,
     RegularizerSpec,
     bound_inputs_for,
@@ -156,16 +152,6 @@ class TestMeasureEquivariance:
         assert len(a.errors) == 4
         first, second = a.errors[:2], a.errors[2:]
         assert [th for th, _ in first] != [th for th, _ in second]
-
-    def test_group_output_rejected(self):
-        basis = FourierBasis(5, 2)
-        rng = np.random.default_rng(76)
-        net = NetworkSpec(
-            [Lift(1, 2, 4, basis, rng.standard_normal((2, 1, basis.size)))], GroupSpec(4)
-        )
-        img = synthetic_image(20, 5, mesh=1 / 3)
-        with pytest.raises(ValueError, match="planar output"):
-            measure_equivariance(net, [img], angles=[np.pi / 2])
 
     def test_banks_built_once_per_call(self, monkeypatch):
         # 2 images x (1 reference + 3 rotated) forwards share one bank per conv

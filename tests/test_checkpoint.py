@@ -39,6 +39,7 @@ MALFORMED_HEADERS = {
     "layers_as_dict": lambda h: dict(h, layers={"0": h["layers"][0]}),
     "layers_as_int": lambda h: dict(h, layers=12),
     "missing_group_order": lambda h: _without(h, "group_order"),
+    "group_order_mismatch": lambda h: dict(h, group_order=2),  # _fresh_net's Lift has order 4
     "header_is_list": lambda h: [h],
     "channels_as_string": lambda h: dict(
         h, layers=[dict(l, channels="2") if l["kind"] == "bias" else l for l in h["layers"]]
@@ -86,7 +87,7 @@ class TestRoundtrip:
         loaded = load_checkpoint(save_checkpoint(net, tmp_path / "net.eqck"))
         x = synthetic_image(16, 1, mesh=1 / 3)
         np.testing.assert_array_equal(forward(loaded, x).data, forward(net, x).data)
-        assert loaded.group.order == 8
+        assert loaded.group_order == 8
 
     def test_loaded_net_is_trainable(self, tmp_path):
         loaded = load_checkpoint(save_checkpoint(_fresh_net(94), tmp_path / "net.eqck"))
@@ -124,7 +125,7 @@ class TestCorruption:
         blob = save_checkpoint(net, tmp_path / "net.eqck").read_bytes()
         bad = tmp_path / "bool.eqck"
         bad.write_bytes(with_eqck_header(blob, dict(eqck_header(blob), group_order=True)))
-        assert load_checkpoint(tmp_path / "net.eqck").group.order == 1
+        assert load_checkpoint(tmp_path / "net.eqck").group_order == 1
         with pytest.raises(ValueError, match="group order"):
             load_checkpoint(bad)
 

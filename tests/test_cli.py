@@ -95,6 +95,17 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"seed": 1.5})
         self.check(["denoise", "--config", cfg, "--out", str(tmp_path)], capsys, "seed")
 
+    @pytest.mark.parametrize("key, value", [("image_seed", -1), ("net_seed", 2**64)])
+    def test_every_seed_field_range_checked(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"t_list": [1], key: value})
+        err = self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert err == f"error: {key} must be an integer in [0, 2^64), got {value}\n"
+
+    def test_train_group_order_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"t": 0})
+        err = self.check(["train", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert err == "error: group order must be a positive integer, got 0\n"
+
     def test_unknown_prox_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"steps": 1, "prox": {"kind": "median"}})
         self.check(["denoise", "--config", cfg, "--out", str(tmp_path)], capsys, "median")

@@ -17,8 +17,6 @@ from rotprox import (
     Bias,
     FourierBasis,
     GroupConv,
-    GroupFeatureMap,
-    GroupSpec,
     Lift,
     NetworkSpec,
     OrientationPool,
@@ -35,7 +33,7 @@ from rotprox import (
 )
 from rotprox import layers
 from rotprox.audit import SWEEP_RING_ORDERS
-from rotprox.grids import NonFiniteError, _Grid
+from rotprox.grids import NonFiniteError
 from rotprox.layers import _BAND_BYTES, correlate_stack, group_conv, lift_conv
 from rotprox.synthetic import ring_stack, synthetic_image
 from rotprox.training import forward_with_tape
@@ -264,8 +262,8 @@ class TestLiftEquivariance:
         x = synthetic_image(16, 0, mesh=1 / 3)
         w = layer.weights()
         lhs = lift_conv(rotate_image(x, np.pi / 2).data, layer, w)
-        rhs = act_on_feature_map(GroupFeatureMap(lift_conv(x.data, layer, w)), np.pi / 2, 1)
-        assert np.max(np.abs(lhs - rhs.data)) < 1e-12
+        rhs = act_on_feature_map(lift_conv(x.data, layer, w), np.pi / 2, 1)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_quarter_turn_full_net(self):
         net = make_audit_net(4, seed=3)
@@ -278,11 +276,11 @@ class TestLiftEquivariance:
         basis = FourierBasis(5, 2)
         rng = np.random.default_rng(4)
         layer = GroupConv(2, 3, basis, rng.standard_normal((3, 2, 4, basis.size)))
-        f = GroupFeatureMap(rng.standard_normal((12, 12, 4, 2)))
+        f = rng.standard_normal((12, 12, 4, 2))
         w = layer.weights()
-        lhs = group_conv(act_on_feature_map(f, np.pi / 2, 1).data, layer, w)
-        rhs = act_on_feature_map(GroupFeatureMap(group_conv(f.data, layer, w)), np.pi / 2, 1)
-        assert np.max(np.abs(lhs - rhs.data)) < 1e-12
+        lhs = group_conv(act_on_feature_map(f, np.pi / 2, 1), layer, w)
+        rhs = act_on_feature_map(group_conv(f, layer, w), np.pi / 2, 1)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_all_four_quarter_turns(self):
         net = make_audit_net(4, channels=3, seed=5)
@@ -305,10 +303,7 @@ class TestLiftEquivariance:
 class TestLayerSemantics:
     def test_orientation_pool_is_fiber_mean(self):
         rng = np.random.default_rng(7)
-        net = NetworkSpec(
-            [Lift(2, 2, 4, FourierBasis(3, 1), rng.standard_normal((2, 2, 5))), OrientationPool()],
-            GroupSpec(4),
-        )
+        net = NetworkSpec([Lift(2, 2, 4, FourierBasis(3, 1), rng.standard_normal((2, 2, 5))), OrientationPool()])
         x = PlanarImage(rng.standard_normal((5, 5, 2)))
         lifted = lift_conv(x.data, net.layers[0], net.layers[0].weights())
         pooled = forward(net, x)
@@ -325,13 +320,13 @@ class TestLayerSemantics:
         np.testing.assert_array_equal(out.ravel(), [0.0, 2.0])
 
     def test_forward_wraps_once(self, monkeypatch):
-        # layers pass bare arrays: one PlanarImage/GroupFeatureMap check per
-        # pass, for the output (the input comes in already built)
+        # layers pass bare arrays: one PlanarImage check per pass, for the
+        # output (the input comes in already built)
         net = make_denoiser_net(seed=16)
         x = synthetic_image(12, 9)
         built = []
-        check = _Grid.__post_init__
-        monkeypatch.setattr(_Grid, "__post_init__", lambda self: built.append(type(self)) or check(self))
+        check = PlanarImage.__post_init__
+        monkeypatch.setattr(PlanarImage, "__post_init__", lambda self: built.append(type(self)) or check(self))
         out = forward(net, x)
         assert built == [PlanarImage]
         assert out.mesh == x.mesh
@@ -367,20 +362,45 @@ class TestNetworkValidation:
     def conv(self, ci=1, co=1):
         return PlainConv(ci, co, self.basis, np.zeros((co, ci, self.basis.size)))
 
+    def lift(self, t=4):
+        return Lift(1, 1, t, self.basis, np.zeros((1, 1, self.basis.size)))
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            NetworkSpec([])
+
+    def test_group_chain_must_end_planar(self):
+        # a prox network maps images to images, so a lifted chain ends in a pool
+        with pytest.raises(ValueError, match="maps images to images"):
+            NetworkSpec([self.lift()])
+        gc = GroupConv(1, 1, self.basis, np.zeros((1, 1, 4, self.basis.size)))
+        with pytest.raises(ValueError, match="maps images to images"):
+            NetworkSpec([self.lift(), gc])
+
+    def test_order_comes_from_the_lift(self):
+        net = NetworkSpec([self.lift(6), OrientationPool()])
+        assert net.group_order == 6
+        assert net.out_channels == 1
+        assert NetworkSpec([self.conv()]).group_order == 1  # no Lift
+
+    @pytest.mark.parametrize("order", [0, True, np.bool_(True), 2.0])
+    def test_lift_rejects_bad_group_order(self, order):
+        # true == 1 and 2.0 == 2, so only the type check catches these
+        with pytest.raises(ValueError, match="group order"):
+            self.lift(order)
+
     def test_group_conv_needs_lift(self):
         gc = GroupConv(1, 1, self.basis, np.zeros((1, 1, 4, self.basis.size)))
         with pytest.raises(ValueError, match="Lift"):
-            NetworkSpec([gc], GroupSpec(4))
+            NetworkSpec([gc, OrientationPool()])
 
     def test_second_lift_rejected(self):
-        lift = lambda: Lift(1, 1, 4, self.basis, np.zeros((1, 1, self.basis.size)))
         with pytest.raises(ValueError, match="second Lift"):
-            NetworkSpec([lift(), lift()], GroupSpec(4))
+            NetworkSpec([self.lift(), self.lift(), OrientationPool()])
 
     def test_pool_must_be_last(self):
-        lift = Lift(1, 1, 4, self.basis, np.zeros((1, 1, self.basis.size)))
         with pytest.raises(ValueError, match="last"):
-            NetworkSpec([lift, OrientationPool(), self.conv()], GroupSpec(4))
+            NetworkSpec([self.lift(), OrientationPool(), self.conv()])
 
     def test_pool_needs_group_input(self):
         with pytest.raises(ValueError, match="group feature map"):
@@ -391,9 +411,9 @@ class TestNetworkValidation:
             NetworkSpec([self.conv(co=2), Bias(np.zeros(3))])
 
     def test_group_order_mismatch(self):
-        lift = Lift(1, 1, 2, self.basis, np.zeros((1, 1, self.basis.size)))
-        with pytest.raises(ValueError, match="order"):
-            NetworkSpec([lift], GroupSpec(4))
+        gc = GroupConv(1, 1, self.basis, np.zeros((1, 1, 4, self.basis.size)))
+        with pytest.raises(ValueError, match="order 4 != network order 2"):
+            NetworkSpec([self.lift(2), gc, OrientationPool()])
 
     def test_residual_skip_out_of_range(self):
         with pytest.raises(ValueError, match="skip"):
@@ -451,7 +471,7 @@ class TestFactories:
         net = make_denoiser_net(seed=12)
         x = synthetic_image(16, 7)
         assert np.max(np.abs(forward(net, x).data)) == 0.0
-        assert net.output_state() == ("planar", 1)
+        assert net.out_channels == 1
 
     def test_sweep_nets_share_master_draws(self):
         # draws happen once at master order; each t keeps its offsets, rescaled

@@ -3,11 +3,7 @@ import pytest
 from support import count_conv_calls, reference_tv_prox, tv_objective, tv_prox_dual_qp, tv_value_aniso
 
 from rotprox import (
-    FourierBasis,
-    GroupSpec,
     Identity,
-    Lift,
-    NetworkSpec,
     NeuralProx,
     PlanarImage,
     SoftThreshold,
@@ -248,12 +244,6 @@ class TestNeuralProx:
         p = NeuralProx(make_denoiser_net(seed=0))
         x = synthetic_image(16, 11)
         np.testing.assert_array_equal(p(x).data, x.data)
-
-    def test_group_output_rejected(self):
-        basis = FourierBasis(3, 1)
-        net = NetworkSpec([Lift(1, 2, 4, basis, np.zeros((2, 1, basis.size)))], GroupSpec(4))
-        with pytest.raises(ValueError, match="image space"):
-            neural_prox(synthetic_image(8, 0), net)
 
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(28)

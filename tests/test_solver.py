@@ -10,7 +10,6 @@ from rotprox import (
     BlurDownsample,
     FourierBasis,
     GroupConv,
-    GroupSpec,
     Identity,
     Lift,
     NetworkSpec,
@@ -359,7 +358,7 @@ def _two_channel_net() -> NetworkSpec:
         GroupConv(2, 2, basis, np.zeros((2, 2, 4, basis.size))),
         OrientationPool(),
     ]
-    return init_network(NetworkSpec(layers, GroupSpec(4)), 0)
+    return init_network(NetworkSpec(layers), 0)
 
 
 class TestIdentityDenoise:

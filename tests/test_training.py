@@ -15,9 +15,9 @@ from rotprox import (
     Adam,
     Bias,
     FourierBasis,
-    GroupSpec,
     Lift,
     NetworkSpec,
+    OrientationPool,
     PlanarImage,
     SGD,
     TrainingDivergence,
@@ -123,7 +123,7 @@ class TestLossAndVjps:
 class TestOptimizers:
     def _one_conv_net(self, value=1.0):
         basis = FourierBasis(3, 1)
-        return NetworkSpec([Lift(1, 1, 1, basis, np.full((1, 1, basis.size), value))])
+        return NetworkSpec([Lift(1, 1, 1, basis, np.full((1, 1, basis.size), value)), OrientationPool()])
 
     def test_sgd_step(self):
         net = self._one_conv_net()
@@ -246,13 +246,7 @@ class TestTrainDenoiser:
         net = make_denoiser_net(channels=2, p=3, cutoff=1)
         with pytest.raises(ValueError, match="empty"):
             train_denoiser(net, [], SGD(0.1), 1)
-        basis = FourierBasis(3, 1)
-        group_net = NetworkSpec(
-            [Lift(1, 1, 2, basis, np.zeros((1, 1, basis.size)))], GroupSpec(2)
-        )
         clean = synthetic_image(8, 64)
-        with pytest.raises(ValueError, match="planar"):
-            train_denoiser(group_net, [(clean, clean)], SGD(0.1), 1)
         small = synthetic_image(6, 64)
         with pytest.raises(ValueError, match="mismatch"):
             train_denoiser(net, [(clean, small)], SGD(0.1), 1)
