@@ -290,15 +290,17 @@ def cmd_audit_regularizers(cfg: dict, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-def _restore(cfg: dict, out_dir: Path, op, stem: str) -> int:
-    # cfg["mesh"] is the solution's mesh; the observation grid is coarser by op.scale.
+def _restore(cfg: dict, out_dir: Path, stem: str, make_op, scale: int = 1) -> int:
+    # cfg["mesh"] is the solution's mesh; the observation grid is coarser by scale.
+    # make_op(n) builds the operator for a solution grid whose smaller side is n.
     if cfg["input"] is not None:
-        y = _read_image(cfg["input"], cfg["mesh"] * op.scale)
+        y = _read_image(cfg["input"], cfg["mesh"] * scale)
         truth = _read_image(cfg["ground_truth"], cfg["mesh"]) if cfg["ground_truth"] else None
+        op = make_op(min(y.data.shape[:2]) * scale)
     else:
-        clean = synthetic_image(cfg["image_size"], cfg["seed"], mesh=cfg["mesh"])
-        y = degrade(op, clean, cfg["sigma"], cfg["seed"])
-        truth = clean
+        truth = synthetic_image(cfg["image_size"], cfg["seed"], mesh=cfg["mesh"])
+        op = make_op(cfg["image_size"])
+        y = degrade(op, truth, cfg["sigma"], cfg["seed"])
     run = UnfoldingConfig(steps=cfg["steps"], step_size=cfg["step_size"], prox=_build_prox(cfg["prox"]))
     try:
         xhat, calls = ista_solve(y, op, run)
@@ -314,12 +316,26 @@ def _restore(cfg: dict, out_dir: Path, op, stem: str) -> int:
 
 
 def cmd_denoise(cfg: dict, out_dir: Path) -> int:
-    return _restore(cfg, out_dir, Identity(), "denoised")
+    return _restore(cfg, out_dir, "denoised", lambda n: Identity())
 
 
 def cmd_sr(cfg: dict, out_dir: Path) -> int:
-    op = BlurDownsample(gaussian_kernel(cfg["kernel"]["size"], cfg["kernel"]["sigma"]), cfg["scale"])
-    return _restore(cfg, out_dir, op, "restored")
+    scale, size = cfg["scale"], cfg["kernel"]["size"]
+    if scale < 1:
+        raise ConfigError(f"scale must be >= 1, got {scale}")
+
+    def blur_downsample(n: int) -> BlurDownsample:
+        # checked before the operator's s*s-phase bank and the kernel are built:
+        # the grid holds whole s x s blocks, and a tap more than n - 1 pixels
+        # off-centre never meets a pixel of the grid
+        if n % scale:
+            raise ConfigError(f"scale {scale} must divide image_size {n}")
+        if size > 2 * n - 1:
+            raise ConfigError(f"kernel.size must be at most 2n - 1 = {2 * n - 1}, with n = {n} "
+                              f"the restoration grid's smaller side, got {size}")
+        return BlurDownsample(gaussian_kernel(size, cfg["kernel"]["sigma"]), scale)
+
+    return _restore(cfg, out_dir, "restored", blur_downsample, scale)
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:

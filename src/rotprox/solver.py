@@ -4,10 +4,10 @@ The data term is 1/2 ||A x - y||^2 (Frobenius), so its gradient is
 A^T (A x - y) and the classical step-size bound is 1/||A||^2. A step computes
 prox((x - eta A^T A x) + eta A^T y) in that order, with A^T y formed once per
 solve: for A = I at eta = 1 the prox input is y bit for bit, so a denoise
-solve repeats its first iterate and stops after 2 prox calls. Degradation
-operators expose exact apply/adjoint pairs; blur-downsample keeps the
-upper-left pixel of each s x s block and its adjoint zero-stuffs before
-the transposed blur.
+solve evaluates its prox once, reuses that output for the repeated input of
+step 2, and stops. Degradation operators expose exact apply/adjoint pairs;
+blur-downsample keeps the upper-left pixel of each s x s block, and both
+directions run on the coarse grid as one correlation with a polyphase bank.
 """
 
 from __future__ import annotations
@@ -45,9 +45,17 @@ class Identity:
 class BlurDownsample:
     """A = downsample_s o correlate_K with zero padding (SAME size blur).
 
-    Downsampling keeps the upper-left pixel of each s x s block, so the
-    adjoint zero-stuffs y back onto the fine grid and correlates with the
-    flipped kernel.
+    Downsampling keeps the upper-left pixel of each s x s block, so only the
+    blur's values on the coarse grid are ever used. With m = p // 2, tap (u, v)
+    of the p x p kernel reads fine pixel (s i + u - m, s j + v - m); writing
+    divmod(u - m, s) = (d, a) and divmod(v - m, s) = (e, b), that is pixel
+    (i + d, j + e) of phase plane (a, b), the fine image's pixels
+    (s I + a, s J + b). So ``apply`` is one SAME correlation of the s*s phase
+    planes (space-to-depth, channel a*s + b) with a (s*s, q, q, 1) bank,
+    q = 2 ceil(m / s) + 1, holding tap (u, v) at phase (a, b), offset (d, e).
+    Its adjoint correlates y with the flipped bank, transposed to
+    (1, q, q, s*s), and puts each output channel back on its phase
+    (depth-to-space). Both banks are built at construction.
     """
 
     kernel: np.ndarray
@@ -59,33 +67,39 @@ class BlurDownsample:
             raise ValueError(f"kernel must be square and odd-sized, got {k.shape}")
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
+        s, m = self.scale, k.shape[0] // 2
+        r = -(-m // s)
+        bank = np.zeros((s, s, 2 * r + 1, 2 * r + 1))
+        d, a = np.divmod(np.arange(-m, m + 1), s)
+        bank[a[:, None], a[None, :], d[:, None] + r, d[None, :] + r] = k
+        bank = bank.reshape(s * s, 2 * r + 1, 2 * r + 1, 1)
         object.__setattr__(self, "kernel", k)
-
-    def _blur(self, data: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-        weights = kernel[None, :, :, None]
-        out = np.empty_like(data)
-        for c in range(data.shape[2]):
-            out[:, :, c] = correlate_stack(data[:, :, c : c + 1], weights)[:, :, 0]
-        return out
+        object.__setattr__(self, "_bank", bank)
+        object.__setattr__(self, "_adjoint_bank", bank[:, ::-1, ::-1].transpose(3, 1, 2, 0).copy())
 
     def apply(self, x: PlanarImage) -> PlanarImage:
-        h, w = x.data.shape[:2]
-        if h % self.scale or w % self.scale:
+        h, w, c = x.data.shape
+        s = self.scale
+        if h % s or w % s:
             raise ValueError(
-                f"scale {self.scale} must divide image size {h}x{w}"
+                f"scale {s} must divide image size {h}x{w}"
             )
-        blurred = self._blur(x.data, self.kernel)
-        return PlanarImage(
-            np.ascontiguousarray(blurred[:: self.scale, :: self.scale, :]),
-            mesh=x.mesh * self.scale,
-        )
+        # (H, W, C) -> (C, H/s, W/s, s*s): the phase planes of each channel
+        phases = x.data.reshape(h // s, s, w // s, s, c).transpose(4, 0, 2, 1, 3)
+        phases = phases.reshape(c, h // s, w // s, s * s)
+        out = np.empty((h // s, w // s, c))
+        for ch in range(c):
+            out[:, :, ch] = correlate_stack(phases[ch], self._bank)[:, :, 0]
+        return PlanarImage(out, mesh=x.mesh * s)
 
     def adjoint(self, y: PlanarImage) -> PlanarImage:
         h, w, c = y.data.shape
-        stuffed = np.zeros((h * self.scale, w * self.scale, c))
-        stuffed[:: self.scale, :: self.scale, :] = y.data
-        out = self._blur(stuffed, self.kernel[::-1, ::-1])
-        return PlanarImage(out, mesh=y.mesh / self.scale)
+        s = self.scale
+        out = np.empty((h, s, w, s, c))
+        for ch in range(c):
+            phases = correlate_stack(y.data[:, :, ch : ch + 1], self._adjoint_bank)
+            out[:, :, :, :, ch] = phases.reshape(h, w, s, s).transpose(0, 2, 1, 3)
+        return PlanarImage(out.reshape(h * s, w * s, c), mesh=y.mesh / s)
 
     def domain_shape(self, y: PlanarImage) -> tuple[int, int, int]:
         h, w, c = y.data.shape
@@ -131,7 +145,8 @@ class UnfoldingConfig:
     """T proximal-gradient steps at step size eta; eta=None means auto 1/L_A.
 
     `prox` must be a deterministic function of its input: `ista_solve` skips
-    the steps of an iterate sequence that has started to repeat.
+    the steps of an iterate sequence that has started to repeat, and reuses
+    the prox output of a repeated prox input.
     """
 
     steps: int
@@ -164,13 +179,15 @@ def ista_step(x_t: PlanarImage, aty: PlanarImage, op: DegradationOp, cfg: Unfold
 
 
 def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple[PlanarImage, int]:
-    """Run T steps from x0 = adjoint(y); returns x_T and the number of
-    ``ista_step`` calls made.
+    """Run T steps from x0 = adjoint(y); returns x_T and the number of prox
+    evaluations made.
 
     When an iterate repeats an earlier one bit for bit, the sequence is
     periodic from there, so whole periods are skipped: x_T is the one the
     plain T-step loop gives, at the cost of the steps up to the repeat plus
-    fewer than one period.
+    fewer than one period. A step whose prox input repeats the previous
+    step's bit for bit reuses that step's prox output instead of calling the
+    prox again.
     """
     lip = estimate_lipschitz(op, y)
     if cfg.step_size is None:
@@ -179,14 +196,15 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
         raise ValueError(
             f"step_size {cfg.step_size} exceeds 1/L_A = {1.0 / lip:.6g}"
         )
+    prox = _LastCall(cfg.prox)
+    cfg = UnfoldingConfig(cfg.steps, cfg.step_size, prox)
     x = aty = op.adjoint(y)
     # Brent's cycle finder: `seen` is the iterate at step `seen_step`, moved
     # on at power-of-two steps. The step map is a function of x alone, so once
     # an iterate repeats, the sequence has that period.
-    seen, seen_step, step, calls = _state(x), 0, 0, 0
+    seen, seen_step, step = _state(x), 0, 0
     while step < cfg.steps:
         step += 1
-        calls += 1
         try:
             # a non-finite value is reported as divergence, not as a numpy warning
             with np.errstate(over="ignore", invalid="ignore"):
@@ -203,7 +221,22 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
             seen_step = step
         elif step & (step - 1) == 0:
             seen, seen_step = state, step
-    return x, calls
+    return x, prox.calls
+
+
+class _LastCall:
+    """The prox, evaluated only when its input differs bit for bit from the
+    previous call's; `calls` counts the evaluations."""
+
+    def __init__(self, prox: Callable[[PlanarImage], PlanarImage]):
+        self.prox, self.calls, self.last = prox, 0, (None, None)
+
+    def __call__(self, v: PlanarImage) -> PlanarImage:
+        key = _state(v)
+        if key != self.last[0]:
+            self.calls += 1
+            self.last = key, self.prox(v)
+        return self.last[1]
 
 
 def _state(x: PlanarImage) -> tuple:

@@ -405,13 +405,14 @@ class TestDenoise:
         np.testing.assert_array_equal(restored, synthetic_image(16, 4, mesh=1.0).data)
 
     def test_default_run_prints_prox_calls(self, tmp_path, capsys):
-        # at the default step every stage's prox input is y, so the second
-        # iterate repeats the first and the other 98 steps are skipped
+        # at the default step every stage's prox input is y, so step 2 reuses
+        # step 1's prox output, its iterate repeats and the other 98 steps are
+        # skipped: one prox evaluation
         rc = main(["denoise", "--out", str(tmp_path / "den")])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert lines[0].startswith("wrote: ")
-        assert lines[1] == "prox_calls: 2/100"
+        assert lines[1] == "prox_calls: 1/100"
 
     def test_astronomical_step_count_exits_zero(self, tmp_path, capsys):
         # the cycle skip jumps over the 2**70 steps without recording a trace
@@ -523,6 +524,37 @@ class TestSuperResolve:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("scale, from_file", [(0, False), (0, True), (-2, True), (2**20, False)])
+    def test_scale_out_of_range(self, tmp_path, capsys, scale, from_file):
+        # rejected before the operator's bank of scale**2 phases is built
+        cfg = {"image_size": 8, "steps": 1, "scale": scale}
+        if from_file:
+            write_eqt1(tmp_path / "low.eqt1", np.zeros((4, 4, 1)))
+            cfg["input"] = str(tmp_path / "low.eqt1")
+        rc = main(["sr", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "sr")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: scale {scale} must divide" if scale > 0 else "error: scale must be >= 1")
+
+    @pytest.mark.parametrize("size", [17, 100001])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_kernel_wider_than_grid_rejected(self, tmp_path, capsys, size, from_file):
+        # an 8-pixel restoration grid (synthetic, or a 4x6 file at scale 2):
+        # taps more than 7 pixels off-centre never meet a pixel, and 100001
+        # taps used to need a 74.5 GiB outer product
+        cfg = {"image_size": 8, "steps": 1, "kernel": {"size": size, "sigma": 1.0}}
+        if from_file:
+            write_eqt1(tmp_path / "low.eqt1", np.zeros((4, 6, 1)))
+            cfg["input"] = str(tmp_path / "low.eqt1")
+        rc = main(["sr", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "sr")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: kernel.size ")
+        assert "15" in err
+        cfg["kernel"]["size"] = 15
+        assert main(["sr", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "sr")]) == 0
+        capsys.readouterr()
 
     def test_file_input_uses_high_res_mesh(self, tmp_path, capsys):
         # config mesh describes the restoration grid; the observation file is coarser by scale

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.ndimage
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from support import best_subset_support, plain_ista
 
 from rotprox import (
@@ -32,6 +34,7 @@ from rotprox import (
     psnr,
     rotate_image,
 )
+from rotprox import solver
 from rotprox.synthetic import synthetic_image
 
 
@@ -58,6 +61,53 @@ class TestOperators:
             got = BlurDownsample(kernel, s).apply(PlanarImage(plane[:, :, None]))
             want = scipy.ndimage.correlate(plane, kernel, mode="constant", cval=0.0)[::s, ::s]
             assert np.max(np.abs(got.data[:, :, 0] - want)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(range(1, 22, 2)),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(21, 2, 1, 3, 4, 0)  # q = 11 on an (s^2 = 4)-plane bank: the FFT route; 21 taps on 6 pixels
+    @example(15, 2, 2, 8, 5, 1)  # q = 9, the smallest FFT-route bank at s = 2
+    @example(21, 3, 3, 2, 1, 2)  # q = 9 at s = 3, kernel wider than the 6 x 3 grid
+    @example(5, 4, 1, 1, 1, 3)  # one coarse pixel
+    def test_polyphase_matches_blur_then_decimate(self, p, s, c, hs, ws, seed):
+        rng = np.random.default_rng(seed)
+        kernel = rng.standard_normal((p, p))
+        x = rng.standard_normal((hs * s, ws * s, c))
+        op = BlurDownsample(kernel, s)
+        ax = op.apply(PlanarImage(x)).data
+        want = np.stack(
+            [scipy.ndimage.correlate(x[:, :, ch], kernel, mode="constant", cval=0.0)[::s, ::s] for ch in range(c)],
+            axis=-1,
+        )
+        np.testing.assert_allclose(ax, want, rtol=0, atol=1e-12)
+        y = rng.standard_normal(ax.shape)
+        lhs = float(np.sum(ax * y))
+        rhs = float(np.sum(x * op.adjoint(PlanarImage(y)).data))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("s, c", [(1, 1), (2, 3), (3, 2)])
+    def test_both_directions_run_on_the_coarse_grid(self, monkeypatch, s, c):
+        # one correlation per channel, of (H/s, W/s) planes: a full-grid blur
+        # would lower (H, W, 1) operands
+        shapes, call = [], solver.correlate_stack
+
+        def recorded(arr, weights):
+            shapes.append(arr.shape)
+            return call(arr, weights)
+
+        monkeypatch.setattr(solver, "correlate_stack", recorded)
+        op = BlurDownsample(gaussian_kernel(5, 1.0), s)
+        coarse = op.apply(PlanarImage(np.ones((6 * s, 4 * s, c))))
+        assert shapes == [(6, 4, s * s)] * c
+        shapes.clear()
+        op.adjoint(coarse)
+        assert shapes == [(6, 4, 1)] * c
 
     def test_delta_kernel_identity(self):
         delta = np.zeros((3, 3))
@@ -294,11 +344,12 @@ class TestCycleSkip:
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 910])
     def test_half_step_soft_threshold_late_skip(self, seed):
-        # at step size 0.5 the iterate reaches its fixed point after more than
-        # 32 steps, so Brent's finder saves it at step 64 and sees the repeat
-        # at 65: the skip engages late
+        # at step size 0.5 the iterate reaches its fixed point at step 54
+        # (x_55 == x_54), so from step 56 on every prox input repeats step 55's
+        # and reuses its output; Brent's finder saves the iterate at step 64
+        # and sees the repeat at 65: the skip engages late, after 55 prox calls
         calls = _assert_matches_plain_loop(_default_denoise(seed), Identity(), SoftThreshold(0.1), 0.5, 100)
-        assert calls == 65
+        assert calls == 55
 
     def test_soft_threshold_denoise(self):
         _assert_matches_plain_loop(_default_denoise(3), Identity(), SoftThreshold(0.1), None, 100)
@@ -334,9 +385,9 @@ class TestCycleSkip:
         y = _default_denoise(0)
         counting = _CountingProx(TVProx(0.1))
         x, calls = ista_solve(y, Identity(), UnfoldingConfig(100, None, counting))
-        assert calls == counting.calls == 2
+        assert calls == counting.calls == 1
         direct, _ = ista_solve(y, Identity(), UnfoldingConfig(100, None, TVProx(0.1)))
-        assert x.data.tobytes() == direct.data.tobytes()
+        assert x.data.tobytes() == direct.data.tobytes() == TVProx(0.1)(y).data.tobytes()
 
     def test_unrecorded_skip_of_astronomical_step_count(self):
         # `rotprox denoise` at 8x8 with the default soft threshold: the iterate
@@ -347,6 +398,34 @@ class TestCycleSkip:
         x51, calls51 = ista_solve(y, Identity(), UnfoldingConfig(51, None, SoftThreshold(0.1)))
         assert calls == calls51 <= 51
         assert x.data.tobytes() == x51.data.tobytes()
+
+
+class TestRepeatedProxInput:
+    """A step whose prox input repeats the previous one bit for bit reuses its
+    output; ista_solve's count is the number of prox evaluations."""
+
+    def test_signed_zeros_are_different_inputs(self):
+        # the prox inputs alternate -0.0 and +0.0 (see
+        # test_signed_zeros_are_different_iterates): equal values, different bits
+        y = PlanarImage(np.full((4, 4, 1), -0.0))
+
+        def flip(v):
+            return PlanarImage(np.negative(v.data), mesh=v.mesh)
+
+        for steps in range(5):
+            # Brent's finder cannot see the period-2 cycle before step 4
+            assert _assert_matches_plain_loop(y, _ZeroOp(), flip, 1.0, steps) == steps
+
+    def test_half_step_denoise_reuses_prox_outputs(self, monkeypatch):
+        steps, call = [], solver.ista_step
+
+        def counted_step(*args):
+            steps.append(1)
+            return call(*args)
+
+        monkeypatch.setattr(solver, "ista_step", counted_step)
+        calls = _assert_matches_plain_loop(_default_denoise(0), Identity(), SoftThreshold(0.1), 0.5, 100)
+        assert calls < len(steps) < 100
 
 
 def _two_channel_net() -> NetworkSpec:
@@ -363,7 +442,8 @@ def _two_channel_net() -> NetworkSpec:
 
 class TestIdentityDenoise:
     """With A = I at the default step eta = 1, (x - x) + y is y bit for bit, so
-    every prox input is y: x_T = prox(y) for T >= 1, at 2 prox calls."""
+    every prox input is y: x_T = prox(y) for T >= 1, at 1 prox evaluation (the
+    test's own prox(y) is the other of the name's two calls)."""
 
     @pytest.fixture(scope="class", params=[0, 1, 910, "6x6x2"])
     def noisy(self, request):
@@ -385,7 +465,7 @@ class TestIdentityDenoise:
         for steps in (100, 2**70):
             counting = _CountingProx(prox)
             x, calls = ista_solve(noisy, Identity(), UnfoldingConfig(steps, None, counting))
-            assert calls == counting.calls == 2, f"steps={steps}"
+            assert calls == counting.calls == 1, f"steps={steps}"
             assert x.data.tobytes() == want, f"steps={steps}"
 
 
