@@ -296,17 +296,25 @@ def _restore(cfg: dict, out_dir: Path, stem: str, make_op, scale: int = 1) -> in
     if cfg["input"] is not None:
         y = _read_image(cfg["input"], cfg["mesh"] * scale)
         truth = _read_image(cfg["ground_truth"], cfg["mesh"]) if cfg["ground_truth"] else None
-        op = make_op(min(y.data.shape[:2]) * scale)
+        n = min(y.data.shape[:2]) * scale
     else:
         truth = synthetic_image(cfg["image_size"], cfg["seed"], mesh=cfg["mesh"])
-        op = make_op(cfg["image_size"])
-        y = degrade(op, truth, cfg["sigma"], cfg["seed"])
-    run = UnfoldingConfig(steps=cfg["steps"], step_size=cfg["step_size"], prox=_build_prox(cfg["prox"]))
+        n = cfg["image_size"]
     try:
+        op = make_op(n)
+        if cfg["input"] is None:
+            y = degrade(op, truth, cfg["sigma"], cfg["seed"])
+        run = UnfoldingConfig(steps=cfg["steps"], step_size=cfg["step_size"], prox=_build_prox(cfg["prox"]))
         xhat, calls = ista_solve(y, op, run)
     except SolverDivergence as exc:
         print(f"solver diverged at step {exc.step}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # an input file's size times scale is bounded only by memory: the
+        # operator's bank holds scale**2 phases, and the solve several grids
+        raise ConfigError(
+            f"scale {scale}: the restoration grid (smaller side {n}) and its operator do not fit in memory"
+        ) from None
     path = _write_image(out_dir, stem, cfg["format"], xhat, cfg["input"])
     print(f"wrote: {path}")
     print(f"prox_calls: {calls}/{run.steps}")

@@ -40,7 +40,7 @@ class PlanarImage:
             raise ValueError(f"planar image data must be (H, W, C), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValueError(f"empty image shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("image contains non-finite entries")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False

@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .filters import FourierBasis, basis_stack, init_coefficients
 from .grids import NonFiniteError, PlanarImage
@@ -99,15 +99,17 @@ def _correlate_im2col(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     each at least ``ceil(H / n)`` rows, so every band's patch matrix holds at
     least ``_BAND_BYTES`` and no band is a sliver. The working set is one band's
     patches, under 4 * ``_BAND_BYTES`` (or one image row's patches, when one row
-    alone is larger), not the whole matrix. Each output element is one dot
-    product over the same K order whatever the band count.
+    alone is larger), not the whole matrix. For a GEMM bank (Cout >= 2) each
+    output element is one dot product over the same K order whatever the band
+    count; a GEMV bank (Cout = 1) can differ in low bits between band counts.
     """
     p = weights.shape[1]
     m = (p - 1) // 2
     h, w, ci = arr.shape
     padded = np.zeros((h + 2 * m, w + 2 * m, ci), dtype=arr.dtype)
     padded[m : m + h, m : m + w] = arr
-    win = sliding_window_view(padded, (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)  # (H, W, u, v, Cin)
+    s0, s1, s2 = padded.strides
+    win = as_strided(padded, (h, w, p, p, ci), (s0, s1, s0, s1, s2), writeable=False)  # (H, W, u, v, Cin)
     k = ci * p * p
     n = h * w * k * win.itemsize // _BAND_BYTES
     bands = h // -(-h // n) if n > 1 else 1

@@ -57,7 +57,11 @@ def soft_threshold(x: PlanarImage, w: float) -> PlanarImage:
     _check_real("weight", w, 0)
     if w == 0:
         return x
-    return PlanarImage(np.sign(x.data) * np.maximum(np.abs(x.data) - w, 0.0), mesh=x.mesh)
+    # sign(x) * max(|x| - w, 0), computed in place in one buffer
+    mag = np.abs(x.data)
+    mag -= w
+    np.maximum(mag, 0.0, out=mag)
+    return PlanarImage(np.multiply(np.sign(x.data), mag, out=mag), mesh=x.mesh)
 
 
 def _forward_diff(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -84,22 +84,26 @@ class BlurDownsample:
             raise ValueError(
                 f"scale {s} must divide image size {h}x{w}"
             )
-        # (H, W, C) -> (C, H/s, W/s, s*s): the phase planes of each channel
-        phases = x.data.reshape(h // s, s, w // s, s, c).transpose(4, 0, 2, 1, 3)
-        phases = phases.reshape(c, h // s, w // s, s * s)
+        # one channel's phase planes at a time: plane a*s + b holds x[a::s, b::s]
+        phases = np.empty((h // s, w // s, s * s))
         out = np.empty((h // s, w // s, c))
         for ch in range(c):
-            out[:, :, ch] = correlate_stack(phases[ch], self._bank)[:, :, 0]
+            for a in range(s):
+                for b in range(s):
+                    phases[:, :, a * s + b] = x.data[a::s, b::s, ch]
+            out[:, :, ch] = correlate_stack(phases, self._bank)[:, :, 0]
         return PlanarImage(out, mesh=x.mesh * s)
 
     def adjoint(self, y: PlanarImage) -> PlanarImage:
         h, w, c = y.data.shape
         s = self.scale
-        out = np.empty((h, s, w, s, c))
+        out = np.empty((h * s, w * s, c))
         for ch in range(c):
             phases = correlate_stack(y.data[:, :, ch : ch + 1], self._adjoint_bank)
-            out[:, :, :, :, ch] = phases.reshape(h, w, s, s).transpose(0, 2, 1, 3)
-        return PlanarImage(out.reshape(h * s, w * s, c), mesh=y.mesh / s)
+            for a in range(s):
+                for b in range(s):
+                    out[a::s, b::s, ch] = phases[:, :, a * s + b]
+        return PlanarImage(out, mesh=y.mesh / s)
 
     def domain_shape(self, y: PlanarImage) -> tuple[int, int, int]:
         h, w, c = y.data.shape
@@ -203,24 +207,24 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
     # on at power-of-two steps. The step map is a function of x alone, so once
     # an iterate repeats, the sequence has that period.
     seen, seen_step, step = _state(x), 0, 0
-    while step < cfg.steps:
-        step += 1
-        try:
-            # a non-finite value is reported as divergence, not as a numpy warning
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a non-finite value is reported as divergence, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < cfg.steps:
+            step += 1
+            try:
                 x = ista_step(x, aty, op, cfg)
-        except NonFiniteError:
-            raise SolverDivergence(step) from None
-        if not np.all(np.isfinite(x.data)):
-            raise SolverDivergence(step)
-        state = _state(x)
-        if state == seen:
-            # each skipped lap of `period` steps ends on x again
-            period = step - seen_step
-            step += (cfg.steps - step) // period * period
-            seen_step = step
-        elif step & (step - 1) == 0:
-            seen, seen_step = state, step
+            except NonFiniteError:
+                raise SolverDivergence(step) from None
+            if not np.isfinite(x.data).all():
+                raise SolverDivergence(step)
+            state = _state(x)
+            if state == seen:
+                # each skipped lap of `period` steps ends on x again
+                period = step - seen_step
+                step += (cfg.steps - step) // period * period
+                seen_step = step
+            elif step & (step - 1) == 0:
+                seen, seen_step = state, step
     return x, prox.calls
 
 

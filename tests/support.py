@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
-a scipy.signal convolution, an unbanded one-GEMM correlation, a per-tap
+a scipy.signal convolution, an unbanded one-GEMM correlation, reshape/
+transpose phase planes for the blur-downsample operator, a per-tap
 strided-slice weight gradient, a TV dual loop that recomputes and reallocates
 everything each iteration, an ISTA loop that computes every step, a trainer
 that builds every weight bank and chains every image's gradient on its own),
@@ -59,7 +60,7 @@ from rotprox import (
     weight_banks,
 )
 from rotprox.filters import init_coefficients
-from rotprox.layers import GroupConv
+from rotprox.layers import GroupConv, correlate_stack
 
 GRAD_CHECK_FAMILIES = ("plain_conv", "lift", "group_conv", "pooled", "residual")
 
@@ -180,6 +181,28 @@ def one_shot_correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     m = (p - 1) // 2
     win = sliding_window_view(np.pad(arr, ((m, m), (m, m), (0, 0))), (p, p), axis=(0, 1))
     return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
+
+
+def reshape_blur_downsample(op, x: np.ndarray) -> np.ndarray:
+    """``BlurDownsample.apply`` by one 5-D reshape/transpose/reshape to all
+    channels' (C, H/s, W/s, s*s) phase planes, then one correlation per channel
+    with the operator's own bank: an oracle for the strided phase copies."""
+    h, w, c = x.shape
+    s = op.scale
+    phases = x.reshape(h // s, s, w // s, s, c).transpose(4, 0, 2, 1, 3).reshape(c, h // s, w // s, s * s)
+    return np.stack([correlate_stack(phases[ch], op._bank)[:, :, 0] for ch in range(c)], axis=-1)
+
+
+def reshape_blur_downsample_adjoint(op, y: np.ndarray) -> np.ndarray:
+    """``BlurDownsample.adjoint`` with each channel's s*s output planes put
+    back by one reshape/transpose into an (H, s, W, s, C) array."""
+    h, w, c = y.shape
+    s = op.scale
+    out = np.empty((h, s, w, s, c))
+    for ch in range(c):
+        phases = correlate_stack(y[:, :, ch : ch + 1], op._adjoint_bank)
+        out[:, :, :, :, ch] = phases.reshape(h, w, s, s).transpose(0, 2, 1, 3)
+    return out.reshape(h * s, w * s, c)
 
 
 def strided_conv_backward_weights(x_flat: np.ndarray, g_flat: np.ndarray, p: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: config handling, exit codes, emitted files."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -753,6 +754,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_scale_on_a_file_exits_two(self, tmp_path):
+        # a 4x4 file at scale 65536 asks for a 262144-pixel-side grid and a
+        # 288 GiB phase bank; the child's address space is capped at 4 GiB so
+        # the allocation fails whatever the host's memory and overcommit policy
+        write_eqt1(tmp_path / "low.eqt1", np.zeros((4, 4, 1)))
+        cfg = write_config(tmp_path, {"input": str(tmp_path / "low.eqt1"), "scale": 65536, "steps": 1})
+        capped = (
+            "import resource, runpy, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+            "sys.argv = ['rotprox'] + sys.argv[1:]; "
+            "runpy.run_module('rotprox.cli', run_name='__main__')"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "sr", "--config", cfg, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: scale 65536")
         assert "Traceback" not in proc.stderr
 
     def test_usage_error_exits_two(self, tmp_path):

@@ -73,6 +73,19 @@ class TestCorrelateStack:
         out = correlate_stack(arr, taps)
         np.testing.assert_allclose(out[3:8, 3:8, 0], taps[0, ::-1, ::-1, 0], atol=1e-15)
 
+    def test_im2col_window_is_read_only(self, monkeypatch):
+        # the (H, W, u, v, Cin) window aliases every padded pixel p*p times
+        views, as_strided = [], layers.as_strided
+
+        def recorded(*args, **kwargs):
+            views.append(as_strided(*args, **kwargs))
+            return views[-1]
+
+        monkeypatch.setattr(layers, "as_strided", recorded)
+        rng = np.random.default_rng(2)
+        correlate_stack(rng.standard_normal((8, 9, 3)), rng.standard_normal((3, 5, 5, 2)))
+        assert len(views) == 1 and not views[0].flags.writeable
+
     def test_zero_padding(self):
         # a corner output sees only the in-grid quadrant of the kernel
         arr = np.ones((4, 4, 1))
@@ -92,7 +105,7 @@ class TestBandedCorrelation:
     # (H, W, Cin, p, Cout): non-square, H not a multiple of the band count, GEMV and GEMM
     SHAPES = [
         (97, 128, 400, 1, 2),
-        (91, 75, 32, 5, 1),
+        (91, 75, 32, 5, 1),  # a GEMV bank: its bands differ from one GEMV in low bits, hence allclose
         (83, 100, 8, 9, 1),
         (83, 100, 8, 9, 2),
         (101, 64, 12, 9, 5),

@@ -51,6 +51,16 @@ class TestSoftThreshold:
         np.testing.assert_array_equal(np.abs(out.data), np.maximum(np.abs(data) - 0.4, 0.0))
         assert np.all(out.data * data >= 0.0)
 
+    @pytest.mark.parametrize("w", [0.25, 1, np.float32(0.5), 3.0])
+    def test_matches_textbook_formula_bit_for_bit(self, w):
+        # |x| <= w gives +0.0 before the sign, so negative such entries end as -0.0
+        rng = np.random.default_rng(22)
+        data = rng.standard_normal((7, 9, 2)) * 2.0
+        data.flat[:6] = [-0.0, 0.0, -0.25, 0.25, -1.0, -0.5]
+        want = np.sign(data) * np.maximum(np.abs(data) - w, 0.0)
+        assert np.signbit(want[want == 0.0]).any()
+        assert soft_threshold(PlanarImage(data), w).data.tobytes() == want.tobytes()
+
     def test_one_lipschitz(self):
         rng = np.random.default_rng(21)
         for _ in range(20):

@@ -6,7 +6,7 @@ import pytest
 import scipy.ndimage
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import best_subset_support, plain_ista
+from support import best_subset_support, plain_ista, reshape_blur_downsample, reshape_blur_downsample_adjoint
 
 from rotprox import (
     BlurDownsample,
@@ -35,6 +35,7 @@ from rotprox import (
     rotate_image,
 )
 from rotprox import solver
+from rotprox.cli import PROX_DEFAULTS, SR_DEFAULTS
 from rotprox.synthetic import synthetic_image
 
 
@@ -108,6 +109,18 @@ class TestOperators:
         shapes.clear()
         op.adjoint(coarse)
         assert shapes == [(6, 4, 1)] * c
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_phase_copies_match_reshape_oracle(self, s, c):
+        # the strided phase copies are the reshape/transpose layout, byte for byte
+        rng = np.random.default_rng(10 * s + c)
+        op = BlurDownsample(rng.standard_normal((5, 5)), s)
+        x = rng.standard_normal((7 * s, 5 * s, c))
+        ax = op.apply(PlanarImage(x)).data
+        assert ax.tobytes() == reshape_blur_downsample(op, x).tobytes()
+        y = rng.standard_normal(ax.shape)
+        assert op.adjoint(PlanarImage(y)).data.tobytes() == reshape_blur_downsample_adjoint(op, y).tobytes()
 
     def test_delta_kernel_identity(self):
         delta = np.zeros((3, 3))
@@ -235,6 +248,30 @@ class TestIstaSolve:
                 Identity(),
                 UnfoldingConfig(3, None, SoftThreshold(0.1)),
             )
+
+    def test_default_sr_step_structure(self, monkeypatch):
+        # one step of the default sr solve is one apply, one adjoint and one
+        # correlation each: the spans a tracer puts on these calls time the step
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("apply", "adjoint"):
+            monkeypatch.setattr(BlurDownsample, name, counted(name, getattr(BlurDownsample, name)))
+        monkeypatch.setattr(solver, "correlate_stack", counted("correlate_stack", solver.correlate_stack))
+        kernel = SR_DEFAULTS["kernel"]
+        op = BlurDownsample(gaussian_kernel(kernel["size"], kernel["sigma"]), SR_DEFAULTS["scale"])
+        n = SR_DEFAULTS["image_size"]
+        x = PlanarImage(np.random.default_rng(0).standard_normal((n, n, 1)))
+        aty = op.adjoint(op.apply(x))
+        calls.clear()
+        ista_step(x, aty, op, UnfoldingConfig(1, 1.0, SoftThreshold(PROX_DEFAULTS["weight"])))
+        assert calls == ["apply", "correlate_stack", "adjoint", "correlate_stack"]
 
     def test_divergent_prox_detected(self):
         # a pure prox: the iterates run 1 -> 3 -> 6, and step 3's input 3.5 gives NaN
