@@ -53,7 +53,10 @@ Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
 A weight bank is a function of the coefficients alone, so ``weight_banks(net)``
 builds every conv's bank once for the net's current parameters, and
 ``forward(net, x, banks)`` reuses them until a coefficient changes; without
-``banks``, ``forward`` builds them for that one pass.
+``banks``, ``forward`` builds them for that one pass. A bank is the conv's
+(n*Cin, p, p, t*Cout) ``weights()``, except that the conv the final
+``OrientationPool`` reads gets the (n*Cin, p, p, Cout) mean of its t
+output-orientation blocks (see ``weight_banks``); every pass uses these banks.
 """
 
 from __future__ import annotations
@@ -287,9 +290,16 @@ class _Conv(Layer):
         return out
 
     def coeff_grad(self, dw: np.ndarray) -> np.ndarray:
-        """Chain tap gradients through the sampled basis onto Fourier coefficients."""
+        """Chain tap gradients through the sampled basis onto Fourier coefficients.
+
+        `dw` is the gradient w.r.t. either bank ``weight_banks`` builds: the full
+        (n*Cin, p, p, t*Cout) one, or the orientation-mean (n*Cin, p, p, Cout)
+        one, whose gradient reaches every output-orientation block as dw / t.
+        """
         n, t, co, ci = self.in_orientations, self.group_order, self.out_channels, self.in_channels
         p = self.basis.filter_size
+        if dw.shape[3] != t * co:
+            dw = np.tile(dw / t, t)
         offsets = np.arange(n)
         grad = np.zeros((co, ci, n, self.basis.size))
         for o_out in range(t):
@@ -470,7 +480,10 @@ class Bias(Layer):
         return states[-1]
 
     def forward(self, value, activations):
-        return value + self.values
+        # one add over the (H, W, t*C) view, the values tiled over the fiber: a
+        # broadcast over a group map's short C axis is about 3x slower
+        flat = value.reshape(*value.shape[:2], -1)
+        return (flat + np.tile(self.values, flat.shape[2] // self.channels)).reshape(value.shape)
 
     def grads(self, g, saved):
         return {"values": g.sum(axis=tuple(range(g.ndim - 1)))}
@@ -618,22 +631,37 @@ def _validate_chain(layers, t: int) -> list[tuple[str, int]]:
 
 
 def lift_conv(x: np.ndarray, layer: Lift, weights: np.ndarray) -> np.ndarray:
-    """(H, W, Cin) planar map -> (H, W, t, Cout) group map, with weight bank `weights` (layer.weights())."""
-    return correlate_stack(x, weights).reshape(*x.shape[:2], layer.group_order, layer.out_channels)
+    """(H, W, Cin) planar map -> (H, W, t, Cout) group map, with weight bank `weights`
+    (layer.weights()); an orientation-mean bank (see ``weight_banks``) gives (H, W, 1, Cout)."""
+    return correlate_stack(x, weights).reshape(*x.shape[:2], -1, layer.out_channels)
 
 
 def group_conv(f: np.ndarray, layer: GroupConv, weights: np.ndarray) -> np.ndarray:
-    """(H, W, t, Cin) group map -> (H, W, t, Cout), with weight bank `weights` (layer.weights())."""
-    return correlate_stack(f.reshape(*f.shape[:2], -1), weights).reshape(*f.shape[:3], layer.out_channels)
+    """(H, W, t, Cin) group map -> (H, W, t, Cout), with weight bank `weights`
+    (layer.weights()); an orientation-mean bank (see ``weight_banks``) gives (H, W, 1, Cout)."""
+    return correlate_stack(f.reshape(*f.shape[:2], -1), weights).reshape(*f.shape[:2], -1, layer.out_channels)
 
 
 def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
     """Each conv's weight bank by layer index, for the net's current coefficients.
 
-    The banks hold while the coefficients do: a caller that changes one must
-    build them again.
+    A conv's bank is ``layer.weights()``, (n*Cin, p, p, t*Cout), except for the
+    conv the final ``OrientationPool`` reads: its bank is the mean of the t
+    output-orientation blocks, (n*Cin, p, p, Cout). The pool is linear and every
+    block reads the same input, so mean_o(x * W_o) = x * mean_o(W_o); that conv
+    computes Cout channels instead of t*Cout, and the pool averages a fiber of
+    one. The banks hold while the coefficients do: a caller that changes one
+    must build them again.
     """
-    return {idx: layer.weights() for idx, layer in enumerate(net.layers) if isinstance(layer, _Conv)}
+    last = len(net.layers) - 1
+    banks = {}
+    for idx, layer in enumerate(net.layers):
+        if isinstance(layer, _Conv):
+            w = layer.weights()
+            if idx == last - 1 and isinstance(net.layers[last], OrientationPool):
+                w = w.reshape(*w.shape[:3], layer.group_order, layer.out_channels).mean(axis=3)
+            banks[idx] = w
+    return banks
 
 
 def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None, entries: list | None = None):

@@ -4,7 +4,8 @@ Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
 a scipy.signal convolution, an unbanded one-GEMM correlation, reshape/
 transpose phase planes for the blur-downsample operator, a per-tap
-strided-slice weight gradient, a TV dual loop that recomputes and reallocates
+strided-slice weight gradient, full weight banks that make the final pool
+average every orientation, a TV dual loop that recomputes and reallocates
 everything each iteration, an ISTA loop that computes every step, a trainer
 that builds every weight bank and chains every image's gradient on its own),
 so agreement is evidence rather than tautology.
@@ -170,6 +171,15 @@ def make_plain_net(seed: int = 0, channels: int = 4, n_conv: int = 3, p: int = 5
         conv = PlainConv(channels, channels, basis, np.zeros((channels, channels, nb)))
         layers += [Bias(np.zeros(channels)), ReLU(), conv]
     return init_network(NetworkSpec(layers), seed)
+
+
+def full_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
+    """Every conv's full (n*Cin, p, p, t*Cout) bank, ``weights()``, including the
+    conv that the final pool reads. Passed to ``forward`` or ``forward_with_tape``,
+    they run the net without the orientation-mean bank: that conv computes all t
+    orientations, and the pool averages them (and spreads g / t over them on the
+    reverse pass)."""
+    return {idx: layer.weights() for idx, layer in enumerate(net.layers) if isinstance(layer, (Lift, GroupConv))}
 
 
 def one_shot_correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from support import (
     PlainConv,
     act_on_feature_map,
+    full_banks,
     make_plain_net,
     one_shot_correlate,
     param_count,
@@ -30,13 +31,14 @@ from rotprox import (
     make_sweep_net,
     relative_difference,
     rotate_image,
+    weight_banks,
 )
 from rotprox import layers
 from rotprox.audit import SWEEP_RING_ORDERS
 from rotprox.grids import NonFiniteError
 from rotprox.layers import _BAND_BYTES, correlate_stack, group_conv, lift_conv
 from rotprox.synthetic import ring_stack, synthetic_image
-from rotprox.training import forward_with_tape
+from rotprox.training import backward, chain_grads, forward_with_tape
 
 
 def correlate_reference(arr, weights):
@@ -267,6 +269,81 @@ class TestForwardWorkingSet:
         assert peak < 64 * 2**20
 
 
+def _relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+POOLED_NETS = {
+    "sweep-t1": lambda: make_sweep_net(1, seed=5),
+    "sweep-t2": lambda: make_sweep_net(2, seed=5),
+    "sweep-t24": lambda: make_sweep_net(24, seed=5),
+    "lift-pool": lambda: make_audit_net(6, channels=3, n_conv=1, seed=3),
+    "denoiser": lambda: init_network(make_denoiser_net(4), seed=9),
+}
+
+
+class TestPooledBank:
+    """The conv the final pool reads runs on its orientation-mean bank; the
+    oracle runs every conv on its full bank and pools all t orientations."""
+
+    @pytest.fixture(params=sorted(POOLED_NETS))
+    def net_and_input(self, request):
+        net = POOLED_NETS[request.param]()
+        rng = np.random.default_rng(len(request.param))
+        for layer in net.layers:
+            # nonzero biases move the ReLU kinks off the factories' zero init
+            if isinstance(layer, Bias):
+                layer.values[:] = 0.1 * rng.standard_normal(layer.channels)
+        return net, synthetic_image(28, 4, mesh=1 / 3)
+
+    def test_forward_matches_full_banks(self, net_and_input):
+        net, x = net_and_input
+        assert _relative_gap(forward(net, x).data, forward(net, x, full_banks(net)).data) <= 1e-13
+
+    def test_coefficient_gradients_match_full_banks(self, net_and_input):
+        net, x = net_and_input
+        out, tape = forward_with_tape(net, x)
+        seed_grad = np.random.default_rng(11).standard_normal(out.data.shape)
+        got = chain_grads(net.layers, backward(tape, seed_grad))
+        _, full_tape = forward_with_tape(net, x, full_banks(net))
+        want = chain_grads(net.layers, backward(full_tape, seed_grad))
+        assert list(got) == list(want)
+        for key in want:
+            assert _relative_gap(got[key], want[key]) <= 1e-13, key
+
+    def test_plain_and_taped_passes_are_bit_identical(self, net_and_input):
+        net, x = net_and_input
+        out = forward(net, x).data
+        assert forward_with_tape(net, x)[0].data.tobytes() == out.tobytes()
+        assert forward(net, x).data.tobytes() == out.tobytes()
+
+    def test_only_the_pooled_conv_folds(self):
+        net = make_sweep_net(24, seed=5)
+        banks = weight_banks(net)
+        assert [banks[i].shape[3] for i in (0, 3, 6)] == [72, 72, net.layers[6].out_channels]
+        assert weight_banks(init_network(make_denoiser_net(4), seed=9))[10].shape == (16, 5, 5, 1)
+        # a Bias between the conv and the pool keeps the full bank
+        basis = FourierBasis(3, 1)
+        rng = np.random.default_rng(12)
+        chain = NetworkSpec(
+            [
+                Lift(1, 2, 4, basis, rng.standard_normal((2, 1, basis.size))),
+                ReLU(),
+                GroupConv(2, 3, basis, rng.standard_normal((3, 2, 4, basis.size))),
+                Bias(np.ones(3)),
+                OrientationPool(),
+            ]
+        )
+        assert weight_banks(chain)[2].shape == (8, 3, 3, 12)
+
+    def test_sweep_forward_makes_three_correlations(self, monkeypatch):
+        calls = []
+        correlate = layers.correlate_stack
+        monkeypatch.setattr(layers, "correlate_stack", lambda a, w: calls.append(w.shape) or correlate(a, w))
+        forward(make_sweep_net(24, seed=5), synthetic_image(24, 5))
+        assert calls == [(1, 5, 5, 72), (72, 9, 9, 72), (72, 9, 9, 3)]
+
+
 class TestLiftEquivariance:
     def test_quarter_turn_single_layer(self):
         basis = FourierBasis(5, 2)
@@ -323,10 +400,14 @@ class TestLayerSemantics:
         np.testing.assert_allclose(pooled.data, lifted.mean(axis=2), atol=1e-15)
 
     def test_bias_shared_across_fiber(self):
+        # the add over the flattened fiber is the broadcast add, bit for bit
         rng = np.random.default_rng(8)
-        f = rng.standard_normal((4, 4, 3, 2))
-        out = Bias(np.array([10.0, 20.0])).forward(f, {})
-        np.testing.assert_allclose(out, f + np.array([10.0, 20.0])[None, None, None, :])
+        values = np.array([10.0, 20.0])
+        for shape in [(4, 4, 3, 2), (4, 5, 1, 2), (3, 4, 2)]:
+            f = rng.standard_normal(shape)
+            out = Bias(values).forward(f, {})
+            assert out.shape == f.shape
+            np.testing.assert_array_equal(out, f + values)
 
     def test_relu_clamps(self):
         out = ReLU().forward(np.array([[-1.0, 2.0]]).reshape(1, 2, 1), {})
