@@ -56,7 +56,6 @@ from .prox import (
     SoftThreshold,
     TVProx,
     TVResult,
-    check_prox_equivariance,
     neural_prox,
     soft_threshold,
     tv_prox,

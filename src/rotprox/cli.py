@@ -195,20 +195,16 @@ def _read_image(path, mesh: float) -> PlanarImage:
     raise ConfigError(f"{p}: unsupported image format (use .pgm or .eqt1)")
 
 
-def _write_image(out_dir: Path, stem: str, fmt: str, image: PlanarImage, input_path) -> Path:
+def _output_format(fmt: str, input_path, channels: int) -> str:
+    """The format the result is written in: checked before the solve, so a bad
+    one writes and prints nothing."""
     if fmt == "auto":
         fmt = "pgm" if input_path is not None and str(input_path).endswith(".pgm") else "eqt1"
-    if fmt == "pgm":
-        if image.channels != 1:
-            raise ConfigError(f"PGM output is grayscale; result has {image.channels} channels")
-        path = out_dir / f"{stem}.pgm"
-        write_pgm(path, image.data[:, :, 0])
-        return path
-    if fmt == "eqt1":
-        path = out_dir / f"{stem}.eqt1"
-        write_eqt1(path, image.data)
-        return path
-    raise ConfigError(f"unknown output format {fmt!r} (use auto, pgm, or eqt1)")
+    if fmt not in ("pgm", "eqt1"):
+        raise ConfigError(f"format: unknown output format {fmt!r} (use auto, pgm, or eqt1)")
+    if fmt == "pgm" and channels != 1:
+        raise ConfigError(f"format: PGM output is grayscale; result has {channels} channels")
+    return fmt
 
 
 def _build_prox(pcfg: dict):
@@ -295,11 +291,15 @@ def _restore(cfg: dict, out_dir: Path, stem: str, make_op, scale: int = 1) -> in
     # make_op(n) builds the operator for a solution grid whose smaller side is n.
     if cfg["input"] is not None:
         y = _read_image(cfg["input"], cfg["mesh"] * scale)
+        h, w, channels = y.data.shape
+        n, shape = min(h, w) * scale, (h * scale, w * scale, channels)
         truth = _read_image(cfg["ground_truth"], cfg["mesh"]) if cfg["ground_truth"] else None
-        n = min(y.data.shape[:2]) * scale
+        if truth is not None and truth.data.shape != shape:
+            raise ConfigError(f"ground_truth shape {truth.data.shape} does not match the result's {shape}")
     else:
         truth = synthetic_image(cfg["image_size"], cfg["seed"], mesh=cfg["mesh"])
-        n = cfg["image_size"]
+        n, channels = cfg["image_size"], truth.channels
+    fmt = _output_format(cfg["format"], cfg["input"], channels)
     try:
         op = make_op(n)
         if cfg["input"] is None:
@@ -315,7 +315,11 @@ def _restore(cfg: dict, out_dir: Path, stem: str, make_op, scale: int = 1) -> in
         raise ConfigError(
             f"scale {scale}: the restoration grid (smaller side {n}) and its operator do not fit in memory"
         ) from None
-    path = _write_image(out_dir, stem, cfg["format"], xhat, cfg["input"])
+    path = out_dir / f"{stem}.{fmt}"
+    if fmt == "pgm":
+        write_pgm(path, xhat.data[:, :, 0])
+    else:
+        write_eqt1(path, xhat.data)
     print(f"wrote: {path}")
     print(f"prox_calls: {calls}/{run.steps}")
     if truth is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import PlanarImage, relative_difference, rotate_image
+from .grids import PlanarImage
 from .layers import NetworkSpec, forward, weight_banks
 
 # 1/8 is the classical stability bound for projected dual ascent on the 2D
@@ -202,7 +202,6 @@ def neural_prox(x: PlanarImage, net: NetworkSpec, banks: dict[int, np.ndarray] |
 @dataclass(frozen=True)
 class SoftThreshold:
     weight: float
-    crop = 0  # pointwise: no border to exclude from an equivariance check
 
     def __post_init__(self):
         _check_real("weight", self.weight, 0)
@@ -216,7 +215,6 @@ class TVProx:
     weight: float
     tol: float = 1e-8
     max_iter: int = 500
-    crop = 0  # anisotropic TV is quarter-turn invariant up to the border too
 
     def __post_init__(self):
         _check_tv_args(self.weight, self.tol, self.max_iter)
@@ -242,16 +240,3 @@ class NeuralProx:
 
     def __call__(self, x: PlanarImage) -> PlanarImage:
         return neural_prox(x, self.net, self.banks)
-
-    @property
-    def crop(self) -> int:
-        """The network's receptive radius: the border its zero padding reaches."""
-        return self.net.receptive_radius
-
-
-def check_prox_equivariance(p, x: PlanarImage, theta: float) -> float:
-    """relative_difference(p(rotate(x)), rotate(p(x)), p.crop); each prox names
-    the border width its equivariance check leaves out."""
-    a = p(rotate_image(x, theta))
-    b = rotate_image(p(x), theta)
-    return relative_difference(a, b, crop=p.crop)

@@ -3,10 +3,10 @@
 The data term is 1/2 ||A x - y||^2 (Frobenius), so its gradient is
 A^T (A x - y) and the classical step-size bound is 1/||A||^2. A step computes
 prox((x - eta A^T A x) + eta A^T y) in that order, with A^T y formed once per
-solve: for A = I at eta = 1 the prox input is y bit for bit, so a denoise
-solve evaluates its prox once, reuses that output for the repeated input of
-step 2, and stops. Degradation operators expose exact apply/adjoint pairs;
-blur-downsample keeps the upper-left pixel of each s x s block, and both
+solve. A solve stops at the first step whose prox input repeats the previous
+step's bit for bit: for A = I at eta = 1 every prox input is y, so a denoise
+solve evaluates its prox once and stops at step 2. Degradation operators
+expose exact apply/adjoint pairs; blur-downsample keeps the upper-left pixel of each s x s block, and both
 directions run on the coarse grid as one correlation with a polyphase bank.
 """
 
@@ -148,9 +148,9 @@ def estimate_lipschitz(op: DegradationOp, y: PlanarImage) -> float:
 class UnfoldingConfig:
     """T proximal-gradient steps at step size eta; eta=None means auto 1/L_A.
 
-    `prox` must be a deterministic function of its input: `ista_solve` skips
-    the steps of an iterate sequence that has started to repeat, and reuses
-    the prox output of a repeated prox input.
+    `prox` must be a deterministic function of its input: `ista_solve` stops
+    at the first step whose prox input repeats the previous step's, since
+    every later iterate then equals the current one.
     """
 
     steps: int
@@ -186,12 +186,9 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
     """Run T steps from x0 = adjoint(y); returns x_T and the number of prox
     evaluations made.
 
-    When an iterate repeats an earlier one bit for bit, the sequence is
-    periodic from there, so whole periods are skipped: x_T is the one the
-    plain T-step loop gives, at the cost of the steps up to the repeat plus
-    fewer than one period. A step whose prox input repeats the previous
-    step's bit for bit reuses that step's prox output instead of calling the
-    prox again.
+    A step whose prox input repeats the previous step's bit for bit gives the
+    previous iterate again, and so does every step after it: the solve stops
+    there, and x_T is the one the plain T-step loop gives.
     """
     lip = estimate_lipschitz(op, y)
     if cfg.step_size is None:
@@ -203,49 +200,35 @@ def ista_solve(y: PlanarImage, op: DegradationOp, cfg: UnfoldingConfig) -> tuple
     prox = _LastCall(cfg.prox)
     cfg = UnfoldingConfig(cfg.steps, cfg.step_size, prox)
     x = aty = op.adjoint(y)
-    # Brent's cycle finder: `seen` is the iterate at step `seen_step`, moved
-    # on at power-of-two steps. The step map is a function of x alone, so once
-    # an iterate repeats, the sequence has that period.
-    seen, seen_step, step = _state(x), 0, 0
     # a non-finite value is reported as divergence, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while step < cfg.steps:
-            step += 1
+        for step in range(1, cfg.steps + 1):
+            calls = prox.calls
             try:
                 x = ista_step(x, aty, op, cfg)
             except NonFiniteError:
                 raise SolverDivergence(step) from None
             if not np.isfinite(x.data).all():
                 raise SolverDivergence(step)
-            state = _state(x)
-            if state == seen:
-                # each skipped lap of `period` steps ends on x again
-                period = step - seen_step
-                step += (cfg.steps - step) // period * period
-                seen_step = step
-            elif step & (step - 1) == 0:
-                seen, seen_step = state, step
+            if prox.calls == calls:  # a repeated prox input: x is a fixed point
+                break
     return x, prox.calls
 
 
 class _LastCall:
-    """The prox, evaluated only when its input differs bit for bit from the
-    previous call's; `calls` counts the evaluations."""
+    """The prox, evaluated only when its input differs bit for bit (bytes, not
+    values, so -0.0 and +0.0 differ) from the previous call's; `calls` counts
+    the evaluations, and a step that leaves it unchanged ends `ista_solve`."""
 
     def __init__(self, prox: Callable[[PlanarImage], PlanarImage]):
         self.prox, self.calls, self.last = prox, 0, (None, None)
 
     def __call__(self, v: PlanarImage) -> PlanarImage:
-        key = _state(v)
+        key = v.mesh, v.data.shape, v.data.tobytes()
         if key != self.last[0]:
             self.calls += 1
             self.last = key, self.prox(v)
         return self.last[1]
-
-
-def _state(x: PlanarImage) -> tuple:
-    """The iterate bit for bit: bytes, not values, so -0.0 and +0.0 differ."""
-    return x.mesh, x.data.shape, x.data.tobytes()
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:

@@ -13,7 +13,8 @@ It also holds the code that only the tests use: the one-filter sampling API
 (``ParamFilter``, ``sample_filter``), ``param_count``, the rotation action on
 group feature maps (``act_on_feature_map``), the mesh-refinement study
 behind acceptance criterion 4 (``refinement_errors``) and the ISTA objective
-(``regularizer``, ``tv_value_aniso``, read through ``plain_ista``).
+(``regularizer``, ``tv_value_aniso``, read through ``plain_ista``), and the
+prox equivariance check (``check_prox_equivariance``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from rotprox import (
     measure_equivariance,
     mse_loss,
     parameters,
+    relative_difference,
     rotate_image,
     sample_field,
     synthetic_field,
@@ -428,6 +430,15 @@ def plain_ista(y: PlanarImage, op, cfg: UnfoldingConfig):
     for _ in range(cfg.steps):
         xs.append(ista_step(xs[-1], xs[0], op, cfg))
     return xs, [objective(x) for x in xs]
+
+
+def check_prox_equivariance(p, x: PlanarImage, theta: float, crop: int = 0) -> float:
+    """relative_difference(p(rotate(x)), rotate(p(x))) with `crop` border pixels
+    left out: 0 for the pointwise and TV proxes, a network's receptive radius
+    for a neural prox."""
+    a = p(rotate_image(x, theta))
+    b = rotate_image(p(x), theta)
+    return relative_difference(a, b, crop=crop)
 
 
 def param_count(net: NetworkSpec) -> int:

@@ -14,6 +14,7 @@ from support import (
     GRAD_CHECK_FAMILIES,
     best_subset_support,
     bound_reference,
+    check_prox_equivariance,
     directional_grad_check,
     make_plain_net,
     param_count,
@@ -30,7 +31,6 @@ from rotprox import (
     SoftThreshold,
     TVProx,
     UnfoldingConfig,
-    check_prox_equivariance,
     degrade,
     gaussian_kernel,
     init_network,

@@ -27,6 +27,7 @@ from rotprox import (
 )
 from rotprox.checkpoint import load as load_checkpoint
 from rotprox.checkpoint import save as save_checkpoint
+from rotprox import cli
 from rotprox.cli import main
 
 
@@ -407,8 +408,7 @@ class TestDenoise:
 
     def test_default_run_prints_prox_calls(self, tmp_path, capsys):
         # at the default step every stage's prox input is y, so step 2 reuses
-        # step 1's prox output, its iterate repeats and the other 98 steps are
-        # skipped: one prox evaluation
+        # step 1's prox output and the solve stops there: one prox evaluation
         rc = main(["denoise", "--out", str(tmp_path / "den")])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
@@ -416,7 +416,7 @@ class TestDenoise:
         assert lines[1] == "prox_calls: 1/100"
 
     def test_astronomical_step_count_exits_zero(self, tmp_path, capsys):
-        # the cycle skip jumps over the 2**70 steps without recording a trace
+        # the solve stops at step 2, whose prox input repeats step 1's
         cfg = write_config(tmp_path, {"image_size": 8, "steps": 2**70})
         rc = main(["denoise", "--config", cfg, "--out", str(tmp_path / "den")])
         stdout = capsys.readouterr().out
@@ -583,6 +583,48 @@ class TestSuperResolve:
         assert rc == 0
         assert read_eqt1(out / "restored.eqt1").shape == (24, 24, 1)
         read_psnr(stdout)
+
+
+class TestOutputChecksBeforeSolve:
+    """A ground_truth or format that cannot go with the result exits 2 before
+    the solve: nothing is written, stdout stays empty, and the error names the
+    field."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli, "ista_solve", fail)
+
+    def check(self, tmp_path, capsys, command, cfg, field):
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, observed, truth", [
+        ("denoise", (16, 16, 1), (8, 8, 1)),
+        ("denoise", (8, 8, 1), (8, 8, 2)),
+        ("sr", (8, 8, 1), (8, 8, 1)),
+        ("sr", (8, 8, 1), (16, 16, 2)),
+    ])
+    def test_ground_truth_shape(self, tmp_path, capsys, command, observed, truth):
+        write_eqt1(tmp_path / "y.eqt1", np.zeros(observed))
+        write_eqt1(tmp_path / "truth.eqt1", np.zeros(truth))
+        cfg = {"input": str(tmp_path / "y.eqt1"), "ground_truth": str(tmp_path / "truth.eqt1")}
+        self.check(tmp_path, capsys, command, cfg, "ground_truth")
+
+    @pytest.mark.parametrize("command", ["denoise", "sr"])
+    def test_unknown_format(self, tmp_path, capsys, command):
+        self.check(tmp_path, capsys, command, {"image_size": 8, "format": "png"}, "format")
+
+    def test_pgm_format_of_two_channels(self, tmp_path, capsys):
+        write_eqt1(tmp_path / "y.eqt1", np.zeros((8, 8, 2)))
+        self.check(tmp_path, capsys, "denoise", {"input": str(tmp_path / "y.eqt1"), "format": "pgm"}, "format")
 
 
 class TestTrain:

@@ -1,14 +1,17 @@
 """Every public name of the package has a caller besides the tests.
 
 A name that ``rotprox/__init__.py`` exports must be used somewhere in ``src/``
-other than its own definition, or by the benchmark in ``bench/``, or be
-documented in ``README.md``. Code that only tests reach belongs in
+other than its own definition, or by the benchmark in ``bench/``, or by the
+``python`` code blocks of ``README.md`` that ``test_readme.py`` runs; a mention
+in README prose does not count. Code that only tests reach belongs in
 ``tests/support.py``.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from test_readme import python_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rotprox"
@@ -40,7 +43,7 @@ def names_used_in_src() -> set[str]:
 
 def test_every_export_has_a_non_test_caller():
     used = names_used_in_src()
-    text = "\n".join(p.read_text(encoding="utf-8") for p in [*(ROOT / "bench").glob("*.py"), ROOT / "README.md"])
+    text = "\n".join([*(p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")), *python_blocks()])
     orphans = [
         name for name in exported_names()
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", text)

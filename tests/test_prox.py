@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from support import count_conv_calls, reference_tv_prox, tv_objective, tv_prox_dual_qp, tv_value_aniso
+from support import (
+    check_prox_equivariance,
+    count_conv_calls,
+    reference_tv_prox,
+    tv_objective,
+    tv_prox_dual_qp,
+    tv_value_aniso,
+)
 
 from rotprox import (
     Identity,
@@ -9,7 +16,6 @@ from rotprox import (
     SoftThreshold,
     TVProx,
     UnfoldingConfig,
-    check_prox_equivariance,
     degrade,
     init_network,
     ista_solve,
@@ -280,4 +286,4 @@ class TestNeuralProx:
         net = init_network(make_denoiser_net(4, channels=3), seed=9)
         p = NeuralProx(net)
         x = synthetic_image(28, 12, mesh=1 / 3)
-        assert check_prox_equivariance(p, x, np.pi / 2) <= 1e-12
+        assert check_prox_equivariance(p, x, np.pi / 2, crop=net.receptive_radius) <= 1e-12

@@ -355,6 +355,18 @@ class _CycleProx:
         return PlanarImage(np.full(v.data.shape, self.NEXT[2.0 * v.data[0, 0, 0]]), mesh=v.mesh)
 
 
+def _count_steps(monkeypatch) -> list:
+    """Wrap solver.ista_step; the returned list gets one entry per call."""
+    steps, call = [], solver.ista_step
+
+    def counted_step(*args):
+        steps.append(1)
+        return call(*args)
+
+    monkeypatch.setattr(solver, "ista_step", counted_step)
+    return steps
+
+
 class _CountingProx:
     def __init__(self, prox):
         self.prox, self.calls = prox, 0
@@ -365,8 +377,9 @@ class _CountingProx:
 
 
 class TestCycleSkip:
-    """ista_solve skips whole periods of a repeating iterate sequence; every
-    output must equal the plain loop's bit for bit."""
+    """ista_solve stops at the first step whose prox input repeats the previous
+    step's; every output must equal the plain loop's bit for bit, whatever the
+    period of the iterate sequence."""
 
     @pytest.fixture(scope="class")
     def tv_seed3(self):
@@ -382,9 +395,8 @@ class TestCycleSkip:
     @pytest.mark.parametrize("seed", [0, 1, 3, 910])
     def test_half_step_soft_threshold_late_skip(self, seed):
         # at step size 0.5 the iterate reaches its fixed point at step 54
-        # (x_55 == x_54), so from step 56 on every prox input repeats step 55's
-        # and reuses its output; Brent's finder saves the iterate at step 64
-        # and sees the repeat at 65: the skip engages late, after 55 prox calls
+        # (x_55 == x_54), so step 56's prox input repeats step 55's: the solve
+        # reuses its output and stops there, after 55 prox calls
         calls = _assert_matches_plain_loop(_default_denoise(seed), Identity(), SoftThreshold(0.1), 0.5, 100)
         assert calls == 55
 
@@ -401,13 +413,14 @@ class TestCycleSkip:
         reference = plain_ista(y, Identity(), UnfoldingConfig(15, 0.5, _CycleProx()))
         assert [x.data[0, 0, 0] for x in reference[0]] == [0, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3]
         for steps in range(16):
-            _assert_matches_plain_loop(y, Identity(), _CycleProx(), 0.5, steps, reference)
+            # no two consecutive prox inputs are equal, so every step evaluates the prox
+            assert _assert_matches_plain_loop(y, Identity(), _CycleProx(), 0.5, steps, reference) == steps
 
     def test_signed_zeros_are_different_iterates(self):
         # With A = 0, A^T y = y = -0.0 and eta = 1, the step (x - 0) + (-0.0)
         # keeps the sign of a zero iterate, and the prox flips it: x_t is -0.0
         # for even t and +0.0 for odd t, which value equality would take for a
-        # period-1 cycle.
+        # fixed point.
         y = PlanarImage(np.full((4, 4, 1), -0.0))
 
         def flip(v):
@@ -418,11 +431,14 @@ class TestCycleSkip:
             assert np.all(np.signbit(x.data) == (steps % 2 == 0)), f"steps={steps}"
             _assert_matches_plain_loop(y, _ZeroOp(), flip, 1.0, steps)
 
-    def test_default_tv_denoise_skips_most_prox_calls(self):
+    def test_default_tv_denoise_skips_most_prox_calls(self, monkeypatch):
         y = _default_denoise(0)
         counting = _CountingProx(TVProx(0.1))
+        steps = _count_steps(monkeypatch)
         x, calls = ista_solve(y, Identity(), UnfoldingConfig(100, None, counting))
         assert calls == counting.calls == 1
+        # step 2's prox input is y again: the solve stops there
+        assert len(steps) == 2
         direct, _ = ista_solve(y, Identity(), UnfoldingConfig(100, None, TVProx(0.1)))
         assert x.data.tobytes() == direct.data.tobytes() == TVProx(0.1)(y).data.tobytes()
 
@@ -450,19 +466,15 @@ class TestRepeatedProxInput:
             return PlanarImage(np.negative(v.data), mesh=v.mesh)
 
         for steps in range(5):
-            # Brent's finder cannot see the period-2 cycle before step 4
+            # consecutive prox inputs always differ in their zeros' sign bits
             assert _assert_matches_plain_loop(y, _ZeroOp(), flip, 1.0, steps) == steps
 
     def test_half_step_denoise_reuses_prox_outputs(self, monkeypatch):
-        steps, call = [], solver.ista_step
-
-        def counted_step(*args):
-            steps.append(1)
-            return call(*args)
-
-        monkeypatch.setattr(solver, "ista_step", counted_step)
+        steps = _count_steps(monkeypatch)
         calls = _assert_matches_plain_loop(_default_denoise(0), Identity(), SoftThreshold(0.1), 0.5, 100)
         assert calls < len(steps) < 100
+        # the one step that reuses a prox output is the last
+        assert (len(steps), calls) == (56, 55)
 
 
 def _two_channel_net() -> NetworkSpec:
