@@ -289,6 +289,8 @@ def cmd_audit_regularizers(cfg: dict, out_dir: Path) -> int:
 def _restore(cfg: dict, out_dir: Path, stem: str, make_op, scale: int = 1) -> int:
     # cfg["mesh"] is the solution's mesh; the observation grid is coarser by scale.
     # make_op(n) builds the operator for a solution grid whose smaller side is n.
+    if cfg["ground_truth"] is not None and cfg["input"] is None:
+        raise ConfigError("ground_truth needs input: a synthetic run is scored against its own clean image")
     if cfg["input"] is not None:
         y = _read_image(cfg["input"], cfg["mesh"] * scale)
         h, w, channels = y.data.shape

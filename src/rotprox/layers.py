@@ -71,12 +71,13 @@ from .grids import NonFiniteError, PlanarImage
 
 
 # Floor, in bytes, on one band's im2col patch matrix in _correlate_im2col.
-# Row-blocked GEMMs match one GEMM over the whole patch matrix (same K order) bit
-# for bit only while each block stays large enough to take the same BLAS kernel,
-# so bands are never made smaller than this. The promise does not hold for a
-# one-column weight matrix (Cout = 1, a GEMV): there the banded output can differ
-# in low bits, e.g. at (H, W, Cin, p) = (91, 75, 32, 5) with 4 bands.
-_BAND_BYTES = 8 * 2**20
+# Cache-sized: each band is copied into a buffer and read back by its GEMM while
+# it still sits in the per-core L2 (2 MiB), instead of the GEMM streaming a patch
+# matrix of several MiB back from memory. The 16-channel, p = 5 convs at 32x32
+# and 64x64 lower 200 KiB per band; a patch matrix under twice the floor (sr's
+# blur-downsample, the 32x32 lift) stays one band. Floors from 160 to 384 KiB
+# trained at the same speed, and the gain fell away from 512 KiB up.
+_BAND_BYTES = 160 * 2**10
 
 
 def correlate_stack(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -100,11 +101,12 @@ def _correlate_im2col(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     patch matrix holds n = bytes // ``_BAND_BYTES`` floors, there are
     ``H // ceil(H / n)`` bands of near-equal row count (one band when n <= 1),
     each at least ``ceil(H / n)`` rows, so every band's patch matrix holds at
-    least ``_BAND_BYTES`` and no band is a sliver. The working set is one band's
-    patches, under 4 * ``_BAND_BYTES`` (or one image row's patches, when one row
-    alone is larger), not the whole matrix. For a GEMM bank (Cout >= 2) each
-    output element is one dot product over the same K order whatever the band
-    count; a GEMV bank (Cout = 1) can differ in low bits between band counts.
+    least ``_BAND_BYTES`` and no band is a sliver. The working set is one band
+    buffer, allocated once per call for the largest band and refilled for each
+    band; it is under 3 * ``_BAND_BYTES`` (or one image row's patches, when one
+    row alone is larger), not the whole matrix. A band's GEMM may take a
+    different BLAS kernel than one GEMM over the whole matrix, so the output can
+    differ from it in low bits; repeat calls are bit-identical.
     """
     p = weights.shape[1]
     m = (p - 1) // 2
@@ -119,8 +121,11 @@ def _correlate_im2col(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     wk = weights.transpose(1, 2, 0, 3).reshape(k, -1)
     out = np.empty((h, w, wk.shape[1]), dtype=np.result_type(win, wk))
     edges = [i * h // bands for i in range(bands + 1)]
+    buf = np.empty((-(-h // bands), w, p, p, ci), dtype=win.dtype)
     for r0, r1 in zip(edges, edges[1:]):
-        np.dot(win[r0:r1].reshape(-1, k), wk, out=out[r0:r1].reshape(-1, wk.shape[1]))
+        band = buf[: r1 - r0]
+        np.copyto(band, win[r0:r1])
+        np.dot(band.reshape(-1, k), wk, out=out[r0:r1].reshape(-1, wk.shape[1]))
     return out
 
 

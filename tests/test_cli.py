@@ -619,6 +619,12 @@ class TestOutputChecksBeforeSolve:
         self.check(tmp_path, capsys, command, cfg, "ground_truth")
 
     @pytest.mark.parametrize("command", ["denoise", "sr"])
+    def test_ground_truth_without_input(self, tmp_path, capsys, command):
+        # the path does not exist: the field is refused before it is read
+        cfg = {"image_size": 8, "ground_truth": str(tmp_path / "missing.eqt1")}
+        self.check(tmp_path, capsys, command, cfg, "ground_truth")
+
+    @pytest.mark.parametrize("command", ["denoise", "sr"])
     def test_unknown_format(self, tmp_path, capsys, command):
         self.check(tmp_path, capsys, command, {"image_size": 8, "format": "png"}, "format")
 

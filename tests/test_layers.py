@@ -113,18 +113,36 @@ class TestBandedCorrelation:
         (101, 64, 12, 9, 5),
         (120, 100, 8, 7, 3),
         (210, 200, 1, 9, 2),
+        # the bench's banded convs: train, the restore neural prox and the audit lift
+        (32, 32, 16, 5, 16),
+        (32, 32, 16, 5, 1),
+        (64, 64, 16, 5, 16),
+        (128, 128, 1, 5, 72),
     ]
 
     @pytest.mark.parametrize("h, w, ci, p, co", SHAPES)
     def test_matches_one_shot_gemm(self, h, w, ci, p, co):
         n = h * w * ci * p * p * 8 // _BAND_BYTES
-        assert h // -(-h // n) >= 3, "shape too small to force three bands"
+        bands = h // -(-h // n) if n > 1 else 1  # _correlate_im2col's band rule
+        assert bands >= 3, "shape too small to force three bands"
         rng = np.random.default_rng(h + p + co)
         arr = rng.standard_normal((h, w, ci))
         weights = rng.standard_normal((ci, p, p, co))
         got = correlate_stack(arr, weights)
         np.testing.assert_allclose(got, one_shot_correlate(arr, weights), rtol=1e-12, atol=1e-12)
         assert got.tobytes() == correlate_stack(arr, weights).tobytes()
+
+    def test_band_working_set(self):
+        # restore's 64^2, 16 -> 16 conv: its full patch matrix is 12.5 MiB
+        rng = np.random.default_rng(3)
+        arr, weights = rng.standard_normal((64, 64, 16)), rng.standard_normal((16, 5, 5, 16))
+        tracemalloc.start()
+        try:
+            correlate_stack(arr, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_sweep_group_conv_working_set(self):
         # t=24 sweep shape: 128^2, 72 -> 72 slices, p=9; the full patch matrix is 729 MiB
