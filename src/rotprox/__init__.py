@@ -6,7 +6,6 @@ from .audit import (
     SWEEP_GROUP_ORDERS,
     BoundInputs,
     EquivarianceReport,
-    LayerBounds,
     RegularizerSpec,
     bound_inputs_for,
     emit_regularizer_report,

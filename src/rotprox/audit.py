@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .filters import SmoothnessBounds, bounds_from_coefficients, image_bounds
-from .grids import PlanarImage, relative_difference, rotate_image
+from .grids import PlanarImage, central_differences, relative_difference, rotate_image
 from .layers import NetworkSpec, forward, make_sweep_net, weight_banks
 from .synthetic import ring_stack
 
@@ -35,51 +35,32 @@ REGULARIZER_CSV_HEADER = "regularizer,angle_rad,value"
 
 
 @dataclass(frozen=True)
-class LayerBounds:
-    """One conv layer's input slice count and filter-bank smoothness sups."""
-
-    slices: int
-    F: float
-    G: float
-    H: float
-
-    def __post_init__(self):
-        if self.slices < 1:
-            raise ValueError(f"slice count must be >= 1, got {self.slices}")
-        for name in ("F", "G", "H"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"bound {name} must be >= 0")
-
-
-@dataclass(frozen=True)
 class BoundInputs:
-    """Everything the layer-cascade bound needs: per-layer (n, F, G, H), image
-    sups (F0, G0, H0), filter size p, mesh h, group order t, image dims."""
+    """Everything the layer-cascade bound needs: per conv layer (n, filter-bank sups), the
+    image sups (F0, G0, H0), filter size p, mesh h, group order t, the longer image side."""
 
-    layers: tuple[LayerBounds, ...]
-    F0: float
-    G0: float
-    H0: float
+    layers: tuple[tuple[int, SmoothnessBounds], ...]
+    image: SmoothnessBounds
     p: int
     h: float
     t: int
-    height: int
-    width: int
+    side: int
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.layers) < 1:
             raise ValueError("need at least one conv layer")
-        if min(self.F0, self.G0, self.H0) < 0:
-            raise ValueError("image bounds must be >= 0")
+        for slices, _ in self.layers:
+            if slices < 1:
+                raise ValueError(f"slice count must be >= 1, got {slices}")
         if self.p < 1 or self.p % 2 == 0:
             raise ValueError(f"filter size must be odd and positive, got {self.p}")
         if self.h <= 0:
             raise ValueError(f"mesh must be > 0, got {self.h}")
         if self.t < 1:
             raise ValueError(f"group order must be >= 1, got {self.t}")
-        if self.height < 1 or self.width < 1:
-            raise ValueError("image dims must be >= 1")
+        if self.side < 1:
+            raise ValueError(f"image side must be >= 1, got {self.side}")
 
     @property
     def N(self) -> int:
@@ -95,20 +76,21 @@ def theorem1_bound(b: BoundInputs) -> tuple[float, float, float, float]:
     C2 = 2 pi G0 F_script (2 max(H, W)/p + 2 N)
     bound = C1 h^2 + C2 p h / t
     """
-    for lb in b.layers:
-        if lb.F == 0.0:
+    for _, fb in b.layers:
+        if fb.F == 0.0:
             raise ZeroDivisionError("degenerate filter bank: F bound is 0")
+    img = b.image
     f_script = 1.0
-    for lb in b.layers:
-        f_script *= lb.slices * b.p**2 * lb.F
+    for slices, fb in b.layers:
+        f_script *= slices * b.p**2 * fb.F
     inner = 0.0
     prefix = 0.0  # sum over earlier layers of G_m F0 / F_m
-    for lb in b.layers:
-        inner += lb.H * b.F0 / lb.F + 2.0 * (lb.G / lb.F) * prefix + 2.0 * lb.G * b.G0 / lb.F + b.H0
-        prefix += lb.G * b.F0 / lb.F
+    for _, fb in b.layers:
+        inner += fb.H * img.F / fb.F + 2.0 * (fb.G / fb.F) * prefix + 2.0 * fb.G * img.G / fb.F + img.H
+        prefix += fb.G * img.F / fb.F
     n = b.N
     c1 = 2.0 * n * f_script * inner
-    c2 = 2.0 * math.pi * b.G0 * f_script * (2.0 * max(b.height, b.width) / b.p + 2.0 * n)
+    c2 = 2.0 * math.pi * img.G * f_script * (2.0 * b.side / b.p + 2.0 * n)
     bound = c1 * b.h**2 + c2 * b.p * b.h / b.t
     return bound, c1, c2, f_script
 
@@ -126,27 +108,14 @@ def bound_inputs_for(net: NetworkSpec, images: Sequence[PlanarImage]) -> BoundIn
     for img in images:
         if img.mesh != mesh:
             raise ValueError("images must share one mesh")
-    t = net.group_order
-    layer_bounds = []
-    for layer in convs:
-        sb = bounds_from_coefficients(layer.basis, layer.coeffs)
-        layer_bounds.append(LayerBounds(layer.fan_in, sb.F, sb.G, sb.H))
-    img_sups = SmoothnessBounds(0.0, 0.0, 0.0)
-    for img in images:
-        sb = image_bounds(img)
-        img_sups = SmoothnessBounds(
-            max(img_sups.F, sb.F), max(img_sups.G, sb.G), max(img_sups.H, sb.H)
-        )
+    sups = [image_bounds(img) for img in images]
     return BoundInputs(
-        layers=tuple(layer_bounds),
-        F0=img_sups.F,
-        G0=img_sups.G,
-        H0=img_sups.H,
+        layers=tuple((layer.fan_in, bounds_from_coefficients(layer.basis, layer.coeffs)) for layer in convs),
+        image=SmoothnessBounds(max(s.F for s in sups), max(s.G for s in sups), max(s.H for s in sups)),
         p=max(layer.basis.filter_size for layer in convs),
         h=mesh,
-        t=t,
-        height=max(img.height for img in images),
-        width=max(img.width for img in images),
+        t=net.group_order,
+        side=max(max(img.height, img.width) for img in images),
     )
 
 
@@ -224,17 +193,19 @@ def measure_equivariance(
 
 
 def order_sweep(
-    t_list: Sequence[int] = SWEEP_GROUP_ORDERS,
-    image_count: int = 2,
-    image_size: int = 128,
-    mesh: float = 1.0 / 6.0,
-    angles: int | Sequence[float] = 10,
-    net_seed: int = 5,
-    image_seed: int = 5,
-    angle_seed: int = 0,
-    channels: int = 3,
+    *,
+    t_list: Sequence[int],
+    image_count: int,
+    image_size: int,
+    mesh: float,
+    angles: int | Sequence[float],
+    net_seed: int,
+    image_seed: int,
+    angle_seed: int,
+    channels: int,
 ) -> list[EquivarianceReport]:
-    """Equivariance error vs group order on a shared image/angle set.
+    """Equivariance error vs group order on a shared image/angle set;
+    `rotprox audit-equivariance` passes `AUDIT_EQ_DEFAULTS`, its `seed` as `angle_seed`.
 
     All orders audit the same images at the same angles with coefficient draws
     shared across t (see make_sweep_net), so the comparison is paired: differences
@@ -284,16 +255,12 @@ def regularizer_value(r: RegularizerSpec, x: PlanarImage) -> float:
     if r.kind == "L1":
         return float(np.mean(np.abs(u[c:-c, c:-c, :])))
     # derivative stencils live on the 1-pixel interior; trim the rest of the crop
-    uxx = u[1:-1, 2:, :] - 2.0 * u[1:-1, 1:-1, :] + u[1:-1, :-2, :]
-    uyy = u[2:, 1:-1, :] - 2.0 * u[1:-1, 1:-1, :] + u[:-2, 1:-1, :]
+    dx, dy, uxx, uyy, uxy = central_differences(u)
     s = c - 1
     trim = (lambda a: a[s:-s, s:-s, :]) if s else (lambda a: a)
     if r.kind == "TV_iso":
-        dx = 0.5 * (u[1:-1, 2:, :] - u[1:-1, :-2, :])
-        dy = 0.5 * (u[2:, 1:-1, :] - u[:-2, 1:-1, :])
         return float(np.mean(np.sqrt(trim(dx) ** 2 + trim(dy) ** 2)))
     if r.kind == "TV2":
-        uxy = 0.25 * (u[2:, 2:, :] - u[2:, :-2, :] - u[:-2, 2:, :] + u[:-2, :-2, :])
         frob = np.sqrt(trim(uxx) ** 2 + 2.0 * trim(uxy) ** 2 + trim(uyy) ** 2)
         return float(np.mean(frob))
     lap = trim(uxx + uyy)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import PlanarImage, _quarter_multiple
+from .grids import PlanarImage, central_differences, rotated_grid
 
 SUPPORT_RADIUS = 1.0
 FLAT_RADIUS = 0.5  # window is identically 1 inside this radius
@@ -32,10 +32,11 @@ _WIN_D2 = max((10.0 / math.sqrt(3.0)) / _TRANSITION**2, _WIN_D1 / FLAT_RADIUS)
 IMAGE_BOUND_SAFETY = 1.5
 
 
-def _window(r: np.ndarray) -> np.ndarray:
-    u = np.clip((r - FLAT_RADIUS) / _TRANSITION, 0.0, 1.0)
-    s = u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-    return 1.0 - s
+def quintic_falloff(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
+    """1 inside `inner`, 1 - S((r - inner)/(outer - inner)) on the band, 0 from `outer` on:
+    the C^2 radial falloff of both the filter window and the synthetic images' disk taper."""
+    u = np.clip((r - inner) / (outer - inner), 0.0, 1.0)
+    return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
 def frequency_pairs(cutoff: int) -> tuple[tuple[int, int, str], ...]:
@@ -90,19 +91,11 @@ class FourierBasis:
     def size(self) -> int:
         return len(self.frequencies)
 
-    def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical (x, y) coordinates of the tap grid; y points against the row index."""
-        p = self.filter_size
-        offsets = (np.arange(p) - (p - 1) / 2.0) * self.mesh
-        x = np.broadcast_to(offsets[None, :], (p, p)).copy()
-        y = np.broadcast_to(-offsets[:, None], (p, p)).copy()
-        return x, y
-
 
 def evaluate_basis(basis: FourierBasis, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Evaluate every basis function at physical points; returns (size, *x.shape)."""
     r = np.hypot(x, y)
-    win = _window(r)
+    win = quintic_falloff(r, FLAT_RADIUS, SUPPORT_RADIUS)
     out = np.empty((basis.size,) + x.shape)
     for j, (k1, k2, phase) in enumerate(basis.frequencies):
         arg = (np.pi / SUPPORT_RADIUS) * (k1 * x + k2 * y)
@@ -111,23 +104,11 @@ def evaluate_basis(basis: FourierBasis, x: np.ndarray, y: np.ndarray) -> np.ndar
     return out
 
 
-def _rotation_entries(theta: float) -> tuple[float, float]:
-    """cos/sin of theta, snapped to exact values on quarter turns for bit-stable grids."""
-    k = _quarter_multiple(theta)
-    if k is not None:
-        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k % 4]
-    return math.cos(theta), math.sin(theta)
-
-
 @lru_cache(maxsize=512)
 def _basis_stack_cached(p: int, cutoff: int, theta: float) -> np.ndarray:
     """Basis functions evaluated on the grid rotated by -theta: (size, p, p), read-only."""
     basis = FourierBasis(p, cutoff)
-    x, y = basis.grid_points()
-    c, s = _rotation_entries(theta)
-    xr = c * x + s * y
-    yr = -s * x + c * y
-    stack = evaluate_basis(basis, xr, yr)
+    stack = evaluate_basis(basis, *rotated_grid(p, p, basis.mesh, theta))
     stack.flags.writeable = False
     return stack
 
@@ -186,18 +167,14 @@ def image_bounds(img: PlanarImage) -> SmoothnessBounds:
     by 1/h and 1/h^2, times a fixed safety factor covering interpolant overshoot
     between samples. Grids too small for a stencil report 0 for that bound.
     """
-    data = img.data
     h = img.mesh
-    f0 = float(np.max(np.abs(data)))
+    f0 = float(np.max(np.abs(img.data)))
     g0 = 0.0
     h0 = 0.0
     if img.height >= 3 and img.width >= 3:
-        gx = (data[1:-1, 2:] - data[1:-1, :-2]) / (2.0 * h)
-        gy = (data[2:, 1:-1] - data[:-2, 1:-1]) / (2.0 * h)
-        g0 = float(np.max(np.hypot(gx, gy)))
-        uxx = (data[1:-1, 2:] - 2.0 * data[1:-1, 1:-1] + data[1:-1, :-2]) / h**2
-        uyy = (data[2:, 1:-1] - 2.0 * data[1:-1, 1:-1] + data[:-2, 1:-1]) / h**2
-        uxy = (data[2:, 2:] - data[2:, :-2] - data[:-2, 2:] + data[:-2, :-2]) / (4.0 * h**2)
+        dx, dy, dxx, dyy, dxy = central_differences(img.data)
+        g0 = float(np.max(np.hypot(dx / h, dy / h)))
+        uxx, uyy, uxy = dxx / h**2, dyy / h**2, dxy / h**2
         # spectral norm of the symmetric 2x2 [[uxx, uxy], [uxy, uyy]]
         spec = np.abs(0.5 * (uxx + uyy)) + np.sqrt((0.5 * (uxx - uyy)) ** 2 + uxy**2)
         h0 = float(np.max(spec))

@@ -1,4 +1,5 @@
-"""Dense planar images plus their plane rotation and relative error metric.
+"""Dense planar images, the centred pixel grid that images and filter taps are
+sampled on, plane rotation, central-difference stencils and the relative error.
 
 Every equivariance statement in this package is written against the rotation
 defined here: an exact index permutation for quarter turns on square grids,
@@ -70,23 +71,33 @@ def _quarter_multiple(theta: float) -> int | None:
     return None
 
 
+def centered_grid(height: int, width: int, mesh: float) -> tuple[np.ndarray, np.ndarray]:
+    """Physical (x, y) of each pixel of the grid centred on the origin; y points against the rows."""
+    ii, jj = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    return (jj - (width - 1) / 2.0) * mesh, ((height - 1) / 2.0 - ii) * mesh
+
+
+def rotated_grid(height: int, width: int, mesh: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The centred grid rotated by -theta: a field sampled there reads as the field rotated
+    counterclockwise by theta. Quarter turns use exact cos/sin, so they permute the grid."""
+    x, y = centered_grid(height, width, mesh)
+    k = _quarter_multiple(theta)
+    if k is None:
+        c, s = math.cos(theta), math.sin(theta)
+    else:
+        c, s = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k % 4]
+    return c * x + s * y, -s * x + c * y
+
+
 def _bilinear_rotate(data: np.ndarray, theta: float) -> np.ndarray:
     """Rotate (H, W, C) counterclockwise by theta about the grid center, zero fill outside.
 
-    Output pixel (i, j) reads the input at the inverse-rotated physical position;
-    the y axis points against the row index so positive theta is the standard
-    counterclockwise rotation.
+    Output pixel (i, j) reads the input at the inverse-rotated physical position.
     """
     h, w = data.shape[:2]
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    x = jj - cx
-    y = cy - ii
-    c, s = np.cos(theta), np.sin(theta)
-    xs = c * x + s * y
-    ys = -s * x + c * y
-    src_i = cy - ys
-    src_j = xs + cx
+    xs, ys = rotated_grid(h, w, 1.0, theta)
+    src_i = (h - 1) / 2.0 - ys
+    src_j = xs + (w - 1) / 2.0
 
     i0 = np.floor(src_i)
     j0 = np.floor(src_j)
@@ -118,6 +129,19 @@ def rotate_image(img: PlanarImage, theta: float) -> PlanarImage:
         )
     data = np.rot90(img.data, k=k % 4, axes=(0, 1)) if k is not None else _bilinear_rotate(img.data, theta)
     return PlanarImage(data, mesh=img.mesh)
+
+
+def central_differences(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Centred (dx, dy, dxx, dyy, dxy) of (H, W, C) samples on the 1-pixel interior, in grid
+    units. dy runs along the rows, against physical y; every use is blind to its sign."""
+    c = u[1:-1, 1:-1]
+    return (
+        0.5 * (u[1:-1, 2:] - u[1:-1, :-2]),
+        0.5 * (u[2:, 1:-1] - u[:-2, 1:-1]),
+        u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2],
+        u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1],
+        0.25 * (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]),
+    )
 
 
 def _cropped(data: np.ndarray, crop: int) -> np.ndarray:

@@ -64,18 +64,15 @@ def soft_threshold(x: PlanarImage, w: float) -> PlanarImage:
     return PlanarImage(np.multiply(np.sign(x.data), mag, out=mag), mesh=x.mesh)
 
 
-def _forward_diff(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _forward_diff(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Forward differences (gx, gy) stacked as (2, H, W), zero across the last
-    column/row (replicated boundary); fills and returns `out` (C-contiguous)
-    when given.
+    column/row (replicated boundary); fills and returns `out` (C-contiguous).
 
     gx is taken over the flattened image, which also differences each row's last
     pixel with the next row's first; that column is then overwritten with the
     boundary zero, so every element is the same single subtraction as a
     row-by-row difference, without the per-row strided loop.
     """
-    if out is None:
-        out = np.empty((2, *u.shape), dtype=u.dtype)
     flat, gx = u.reshape(-1), out[0].reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=gx[:-1])
     out[0, :, -1] = 0.0
@@ -84,9 +81,9 @@ def _forward_diff(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _neg_divergence_adjoint(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _neg_divergence_adjoint(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Adjoint of _forward_diff: stacked (px, py) -> -div(p) with matching
-    boundaries; fills and returns `out` (C-contiguous) when given.
+    boundaries; fills and returns `out` (C-contiguous).
 
     Per element this is ((0 - px[i, j]) + px[i, j-1]) - py[i, j] + py[i-1, j],
     each term present only inside the boundary, in that order. The two px
@@ -94,8 +91,6 @@ def _neg_divergence_adjoint(p: np.ndarray, out: np.ndarray | None = None) -> np.
     boundary are then reset to what the row-by-row pass leaves there.
     """
     px, py = p
-    if out is None:
-        out = np.empty_like(px)
     flat, fpx = out.reshape(-1), px.reshape(-1)
     np.subtract(0.0, fpx, out=flat)
     out[:, -1] = 0.0
@@ -109,8 +104,9 @@ def _neg_divergence_adjoint(p: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _abs_sum(g: np.ndarray, scratch: np.ndarray | None = None) -> float:
-    """sum |gx| + sum |gy| of a stacked gradient, each half summed on its own."""
+def _abs_sum(g: np.ndarray, scratch: np.ndarray) -> float:
+    """sum |gx| + sum |gy| of a stacked gradient, each half summed on its own,
+    with |g| written into `scratch`."""
     a = np.abs(g, out=scratch)
     return float(a[0].sum() + a[1].sum())
 

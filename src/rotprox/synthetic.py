@@ -13,19 +13,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import PlanarImage
+from .filters import quintic_falloff
+from .grids import PlanarImage, centered_grid
 
 # Disk taper: full strength inside INNER*R, exactly zero outside OUTER*R.
 # The band is wide so the falloff stays smooth on coarse grids; rotation
 # audits read interpolation error of the taper ring as an error floor.
 _DISK_INNER = 0.60
 _DISK_OUTER = 0.92
-
-
-def _smoothfall(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
-    """1 inside `inner`, quintic C^2 falloff to 0 at `outer`."""
-    u = np.clip((r - inner) / (outer - inner), 0.0, 1.0)
-    return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+# The normalization probe is evaluated this many rows at a time, so that no
+# temporary (32 * 257 * 8 = 66 KB) crosses glibc's 128 KiB mmap threshold and
+# gets mapped and faulted in anew on every call.
+_PROBE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,15 @@ class _DiskField:
         r = np.hypot(x, y)
         out = self._terms(x, y, r)
         out *= self.scale
-        return out * _smoothfall(r, _DISK_INNER * self.domain_radius, _DISK_OUTER * self.domain_radius)
+        return out * quintic_falloff(r, _DISK_INNER * self.domain_radius, _DISK_OUTER * self.domain_radius)
 
 
 def _normalized(field: _DiskField) -> _DiskField:
     """`field` rescaled to a max |value| of 1 on a fixed 257x257 probe grid, so
     the scale does not depend on the resolution the field is later sampled at."""
     probe = np.linspace(-field.domain_radius, field.domain_radius, 257)
-    px, py = np.meshgrid(probe, probe, indexing="xy")
-    peak = float(np.max(np.abs(field(px, py))))
+    blocks = (np.meshgrid(probe, probe[i : i + _PROBE_ROWS]) for i in range(0, probe.size, _PROBE_ROWS))
+    peak = max(float(np.max(np.abs(field(px, py)))) for px, py in blocks)
     return field if peak == 0.0 else replace(field, scale=1.0 / peak)
 
 
@@ -167,13 +166,9 @@ def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
 
 
 def sample_field(field, height: int, width: int, mesh: float) -> PlanarImage:
-    """Evaluate a continuous field on a centered pixel grid (y axis against rows)."""
-    cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
-    ii, jj = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    x = (jj - cx) * mesh
-    y = (cy - ii) * mesh
+    """Evaluate a continuous field on the centred pixel grid."""
     # + 0.0 turns the taper's -0.0 samples into +0.0, which keeps image bytes stable
-    return PlanarImage(field(x, y)[:, :, None] + 0.0, mesh=mesh)
+    return PlanarImage(field(*centered_grid(height, width, mesh))[:, :, None] + 0.0, mesh=mesh)
 
 
 def synthetic_image(size: int, seed: int, mesh: float = 1.0) -> PlanarImage:

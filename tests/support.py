@@ -62,6 +62,7 @@ from rotprox import (
     synthetic_field,
     weight_banks,
 )
+from rotprox.cli import AUDIT_EQ_DEFAULTS
 from rotprox.filters import init_coefficients
 from rotprox.layers import GroupConv, correlate_stack
 
@@ -350,12 +351,20 @@ def reference_tv_prox(data: np.ndarray, w: float, tol: float, max_iter: int):
     return out, converged, iterations
 
 
-def bound_reference(layers, F0, G0, H0, p, h, t, height, width) -> float:
+def sweep_args(**overrides) -> dict:
+    """`order_sweep` keyword arguments from `AUDIT_EQ_DEFAULTS` with `overrides`
+    applied, mapped as `rotprox audit-equivariance` maps its config."""
+    cfg = {**AUDIT_EQ_DEFAULTS, **overrides}
+    names = ("t_list", "image_count", "image_size", "mesh", "angles", "net_seed", "image_seed", "channels")
+    return {**{name: cfg[name] for name in names}, "angle_seed": cfg["seed"]}
+
+
+def bound_reference(layers, F0, G0, H0, p, h, t, side) -> float:
     """Layer-cascade bound restated with explicit per-layer loops.
 
-    `layers` is a list of (slices, F, G, H) tuples. The inner prefix sum is
-    recomputed from scratch for every layer, so the arithmetic path shares
-    nothing with the library's accumulator version.
+    `layers` is a list of (slices, F, G, H) tuples and `side` the longer image
+    side. The inner prefix sum is recomputed from scratch for every layer, so
+    the arithmetic path shares nothing with the library's accumulator version.
     """
     import math
 
@@ -372,7 +381,7 @@ def bound_reference(layers, F0, G0, H0, p, h, t, height, width) -> float:
             earlier += g_m * F0 / f_m
         total += h_i * F0 / f_i + 2.0 * (g_i / f_i) * earlier + 2.0 * g_i * G0 / f_i + H0
     c1 = 2.0 * n_layers * f_script * total
-    c2 = 2.0 * math.pi * G0 * f_script * (2.0 * max(height, width) / p + 2.0 * n_layers)
+    c2 = 2.0 * math.pi * G0 * f_script * (2.0 * side / p + 2.0 * n_layers)
     return c1 * h * h + c2 * p * h / t
 
 

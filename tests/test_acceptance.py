@@ -21,6 +21,7 @@ from support import (
     plain_ista,
     refinement_errors,
     sample_grad_config,
+    sweep_args,
 )
 from rotprox import (
     Adam,
@@ -80,9 +81,9 @@ def quarter_audit():
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Default order sweep (t in 1..24, 2 ring images, 10 angles each)."""
+    """Default order sweep (`AUDIT_EQ_DEFAULTS`: t in 1..24, 2 ring images, 10 angles each)."""
     t0 = time.perf_counter()
-    reports = order_sweep()
+    reports = order_sweep(**sweep_args())
     return reports, time.perf_counter() - t0
 
 
@@ -152,15 +153,18 @@ def test_criterion_05_bound_dominates_and_cross_checks(sweep, quarter_audit):
     dominated = all(
         rep.bound_satisfied and all(e <= rep.bound for _, e in rep.errors) for rep in audited
     )
-    images = ring_stack(2, 128, 5, 1.0 / 6.0, orders=SWEEP_RING_ORDERS)
+    args = sweep_args()
+    images = ring_stack(
+        args["image_count"], args["image_size"], args["image_seed"], args["mesh"], orders=SWEEP_RING_ORDERS
+    )
 
     def reference(bi):
-        rows = [(lb.slices, lb.F, lb.G, lb.H) for lb in bi.layers]
-        return bound_reference(rows, bi.F0, bi.G0, bi.H0, bi.p, bi.h, bi.t, bi.height, bi.width)
+        rows = [(slices, fb.F, fb.G, fb.H) for slices, fb in bi.layers]
+        return bound_reference(rows, bi.image.F, bi.image.G, bi.image.H, bi.p, bi.h, bi.t, bi.side)
 
     worst = 0.0
     for rep in reports:
-        bi = bound_inputs_for(make_sweep_net(rep.t, channels=3, seed=5), images)
+        bi = bound_inputs_for(make_sweep_net(rep.t, channels=args["channels"], seed=args["net_seed"]), images)
         lib = theorem1_bound(bi)[0]
         worst = max(worst, abs(lib - reference(bi)) / lib, abs(lib - rep.bound) / rep.bound)
     ref1 = reference(bi1)

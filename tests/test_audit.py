@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from support import bound_reference, count_conv_calls, refinement_errors
+from support import bound_reference, count_conv_calls, refinement_errors, sweep_args
 
 from rotprox import (
     BoundInputs,
     DegenerateReferenceError,
     EquivarianceReport,
     REGULARIZER_KINDS,
-    LayerBounds,
     PlanarImage,
     RegularizerSpec,
+    SmoothnessBounds,
     bound_inputs_for,
     emit_regularizer_report,
     emit_report,
@@ -30,24 +30,23 @@ from rotprox.synthetic import synthetic_image
 def random_bound_inputs(rng):
     n = int(rng.integers(1, 5))
     layers = tuple(
-        LayerBounds(
+        (
             int(rng.integers(1, 9)),
-            float(rng.uniform(0.2, 3.0)),
-            float(rng.uniform(0.0, 5.0)),
-            float(rng.uniform(0.0, 8.0)),
+            SmoothnessBounds(
+                float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 8.0))
+            ),
         )
         for _ in range(n)
     )
     return BoundInputs(
         layers=layers,
-        F0=float(rng.uniform(0.0, 2.0)),
-        G0=float(rng.uniform(0.0, 4.0)),
-        H0=float(rng.uniform(0.0, 6.0)),
+        image=SmoothnessBounds(
+            float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 6.0))
+        ),
         p=int(rng.choice([3, 5, 9])),
         h=float(rng.uniform(0.01, 0.5)),
         t=int(rng.choice([1, 2, 4, 8, 24])),
-        height=int(rng.integers(8, 200)),
-        width=int(rng.integers(8, 200)),
+        side=int(rng.integers(8, 200)),
     )
 
 
@@ -58,15 +57,15 @@ class TestBoundFormula:
             b = random_bound_inputs(rng)
             got = theorem1_bound(b)[0]
             want = bound_reference(
-                [(lb.slices, lb.F, lb.G, lb.H) for lb in b.layers],
-                b.F0, b.G0, b.H0, b.p, b.h, b.t, b.height, b.width,
+                [(slices, fb.F, fb.G, fb.H) for slices, fb in b.layers],
+                b.image.F, b.image.G, b.image.H, b.p, b.h, b.t, b.side,
             )
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_single_layer_hand_formula(self):
         b = BoundInputs(
-            layers=(LayerBounds(2, 1.0, 2.0, 3.0),),
-            F0=1.0, G0=0.5, H0=0.25, p=3, h=0.1, t=4, height=9, width=9,
+            layers=((2, SmoothnessBounds(1.0, 2.0, 3.0)),),
+            image=SmoothnessBounds(1.0, 0.5, 0.25), p=3, h=0.1, t=4, side=9,
         )
         bound, c1, c2, f_script = theorem1_bound(b)
         assert f_script == 2 * 9 * 1.0
@@ -79,10 +78,7 @@ class TestBoundFormula:
         base = random_bound_inputs(rng)
 
         def with_(**kw):
-            fields = dict(
-                layers=base.layers, F0=base.F0, G0=base.G0, H0=base.H0,
-                p=base.p, h=base.h, t=base.t, height=base.height, width=base.width,
-            )
+            fields = dict(layers=base.layers, image=base.image, p=base.p, h=base.h, t=base.t, side=base.side)
             fields.update(kw)
             return BoundInputs(**fields)
 
@@ -96,30 +92,29 @@ class TestBoundFormula:
 
     def test_degenerate_filter_bank(self):
         b = BoundInputs(
-            layers=(LayerBounds(1, 0.0, 1.0, 1.0),),
-            F0=1.0, G0=1.0, H0=1.0, p=3, h=0.1, t=1, height=8, width=8,
+            layers=((1, SmoothnessBounds(0.0, 1.0, 1.0)),),
+            image=SmoothnessBounds(1.0, 1.0, 1.0), p=3, h=0.1, t=1, side=8,
         )
         with pytest.raises(ZeroDivisionError, match="degenerate"):
             theorem1_bound(b)
 
     def test_validation(self):
+        ones = SmoothnessBounds(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="slice"):
-            LayerBounds(0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match=">= 0"):
-            LayerBounds(1, -1.0, 1.0, 1.0)
-        good = (LayerBounds(1, 1.0, 1.0, 1.0),)
+            BoundInputs(((0, ones),), ones, 3, 0.1, 1, 8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            SmoothnessBounds(-1.0, 1.0, 1.0)
+        good = ((1, ones),)
         with pytest.raises(ValueError, match="at least one"):
-            BoundInputs((), 1, 1, 1, 3, 0.1, 1, 8, 8)
+            BoundInputs((), ones, 3, 0.1, 1, 8)
         with pytest.raises(ValueError, match="odd"):
-            BoundInputs(good, 1, 1, 1, 4, 0.1, 1, 8, 8)
+            BoundInputs(good, ones, 4, 0.1, 1, 8)
         with pytest.raises(ValueError, match="mesh"):
-            BoundInputs(good, 1, 1, 1, 3, 0.0, 1, 8, 8)
+            BoundInputs(good, ones, 3, 0.0, 1, 8)
         with pytest.raises(ValueError, match="group order"):
-            BoundInputs(good, 1, 1, 1, 3, 0.1, 0, 8, 8)
-        with pytest.raises(ValueError, match="dims"):
-            BoundInputs(good, 1, 1, 1, 3, 0.1, 1, 0, 8)
-        with pytest.raises(ValueError, match=">= 0"):
-            BoundInputs(good, -1, 1, 1, 3, 0.1, 1, 8, 8)
+            BoundInputs(good, ones, 3, 0.1, 0, 8)
+        with pytest.raises(ValueError, match="side"):
+            BoundInputs(good, ones, 3, 0.1, 1, 0)
 
 
 class TestMeasureEquivariance:
@@ -201,9 +196,7 @@ class TestMeasureEquivariance:
 
 class TestOrderSweep:
     def test_paired_comparison_improves_with_order(self):
-        reports = order_sweep(
-            t_list=[1, 4], image_count=1, image_size=32, mesh=1 / 3, angles=4
-        )
+        reports = order_sweep(**sweep_args(t_list=[1, 4], image_count=1, image_size=32, mesh=1 / 3, angles=4))
         assert [r.t for r in reports] == [1, 4]
         assert reports[1].mean_error < reports[0].mean_error
         assert all(r.bound is not None and r.bound_satisfied for r in reports)

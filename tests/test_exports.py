@@ -1,6 +1,8 @@
-"""Every public name of the package has a caller besides the tests.
+"""Every public name and every module-level function or class of the package has
+a caller besides the tests.
 
-A name that ``rotprox/__init__.py`` exports must be used somewhere in ``src/``
+A name that ``rotprox/__init__.py`` exports, and every ``def`` or ``class`` at
+the top level of a module in ``src/rotprox``, must be used somewhere in ``src/``
 other than its own definition, or by the benchmark in ``bench/``, or by the
 ``python`` code blocks of ``README.md`` that ``test_readme.py`` runs; a mention
 in README prose does not count. Code that only tests reach belongs in
@@ -8,6 +10,7 @@ in README prose does not count. Code that only tests reach belongs in
 """
 
 import ast
+import collections
 import re
 from pathlib import Path
 
@@ -15,6 +18,25 @@ from test_readme import python_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rotprox"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _reads(tree: ast.AST) -> collections.Counter:
+    """Identifiers read (not bound) under `tree`, with their counts."""
+    used = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+    return used
 
 
 def exported_names() -> list[str]:
@@ -27,25 +49,40 @@ def exported_names() -> list[str]:
     ]
 
 
-def names_used_in_src() -> set[str]:
-    """Identifiers read (not bound) anywhere in the package's modules."""
-    used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+def top_level_definitions(modules) -> list[tuple[str, ast.AST]]:
+    """(module, def) for every function and class defined at a module's top level."""
+    return [
+        (name, node)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
+def _outside_text() -> str:
+    return "\n".join([*(p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")), *python_blocks()])
+
+
+def _mentioned(name: str, text: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
 
 
 def test_every_export_has_a_non_test_caller():
-    used = names_used_in_src()
-    text = "\n".join([*(p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")), *python_blocks()])
+    modules = _modules()
+    used = sum((_reads(tree) for tree in modules.values()), collections.Counter())
+    text = _outside_text()
+    orphans = [name for name in exported_names() if not used[name] and not _mentioned(name, text)]
+    assert orphans == []
+
+
+def test_every_module_level_definition_has_a_non_test_caller():
+    # a read inside the definition itself (recursion, a class naming itself) is not a caller
+    modules = _modules()
+    used = sum((_reads(tree) for tree in modules.values()), collections.Counter())
+    text = _outside_text()
     orphans = [
-        name for name in exported_names()
-        if name not in used and not re.search(rf"\b{re.escape(name)}\b", text)
+        f"{module}:{node.name}"
+        for module, node in top_level_definitions(modules)
+        if used[node.name] - _reads(node)[node.name] <= 0 and not _mentioned(node.name, text)
     ]
     assert orphans == []

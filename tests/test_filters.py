@@ -10,6 +10,7 @@ from rotprox.filters import (
     init_coefficients,
     per_basis_bounds,
 )
+from rotprox.grids import centered_grid
 from rotprox.synthetic import sample_field, synthetic_field, synthetic_image
 
 
@@ -58,14 +59,6 @@ class TestFourierBasis:
             FourierBasis(5, 3)
         FourierBasis(5, 2)
 
-    def test_grid_points_orientation(self):
-        x, y = FourierBasis(3, 1).grid_points()
-        # row 0 is the top of the image: largest y; column 0 the smallest x
-        assert y[0, 0] == pytest.approx(0.5)
-        assert y[2, 0] == pytest.approx(-0.5)
-        assert x[0, 0] == pytest.approx(-0.5)
-        assert x[0, 2] == pytest.approx(0.5)
-
 
 class TestSampleFilter:
     def test_matches_reference_evaluation(self):
@@ -73,7 +66,7 @@ class TestSampleFilter:
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal(basis.size)
         taps = sample_filter(ParamFilter(basis, coeffs), 0.0)
-        x, y = basis.grid_points()
+        x, y = centered_grid(basis.filter_size, basis.filter_size, basis.mesh)
         np.testing.assert_allclose(taps, eval_filter_reference(basis, coeffs, x, y), atol=1e-12)
 
     def test_rotated_matches_reference_at_rotated_points(self):
@@ -82,7 +75,7 @@ class TestSampleFilter:
         coeffs = rng.standard_normal(basis.size)
         theta = 0.6
         taps = sample_filter(ParamFilter(basis, coeffs), theta)
-        x, y = basis.grid_points()
+        x, y = centered_grid(basis.filter_size, basis.filter_size, basis.mesh)
         c, s = np.cos(theta), np.sin(theta)
         expected = eval_filter_reference(basis, coeffs, c * x + s * y, -s * x + c * y)
         np.testing.assert_allclose(taps, expected, atol=1e-12)

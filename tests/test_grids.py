@@ -8,11 +8,32 @@ from rotprox import (
     relative_difference,
     rotate_image,
 )
+from rotprox.grids import centered_grid, rotated_grid
 from rotprox.synthetic import sample_field, synthetic_field, synthetic_image
 
 
 def gabor(size=64, seed=3, mesh=1 / 3):
     return synthetic_image(size, seed, mesh=mesh)
+
+
+class TestCenteredGrid:
+    def test_orientation(self):
+        x, y = centered_grid(3, 3, 0.5)
+        # row 0 is the top of the image: largest y; column 0 the smallest x
+        assert y[0, 0] == pytest.approx(0.5)
+        assert y[2, 0] == pytest.approx(-0.5)
+        assert x[0, 0] == pytest.approx(-0.5)
+        assert x[0, 2] == pytest.approx(0.5)
+
+    def test_quarter_turns_permute_points_exactly(self):
+        # exact cos/sin: a quarter turn maps the grid onto itself bit for bit
+        x, y = centered_grid(5, 5, 0.25)
+        xr, yr = rotated_grid(5, 5, 0.25, np.pi / 2)
+        np.testing.assert_array_equal(xr, y)
+        np.testing.assert_array_equal(yr, -x)
+        xr, yr = rotated_grid(5, 5, 0.25, -3 * np.pi)
+        np.testing.assert_array_equal(xr, -x)
+        np.testing.assert_array_equal(yr, -y)
 
 
 class TestRotateImage:
