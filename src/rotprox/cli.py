@@ -267,6 +267,8 @@ def cmd_audit_equivariance(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_audit_regularizers(cfg: dict, out_dir: Path) -> int:
+    if not cfg["threshold"] > 0:
+        raise ConfigError(f"threshold must be > 0, got {cfg['threshold']!r}: no relative spread (>= 0) is below it")
     if cfg["image"] is not None:
         image = _read_image(cfg["image"], cfg["mesh"])
     else:
@@ -427,6 +429,10 @@ def main(argv=None) -> int:
         return args.func(cfg, out_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # sizes in a config (image_size, image_count, t_list, ...) are bounded only by memory
+        print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -83,10 +83,10 @@ _BAND_BYTES = 160 * 2**10
 def correlate_stack(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Correlate (H, W, Cin) with a (Cin, p, p, Cout) weight bank, zero padding, SAME size.
 
-    Two routes, chosen by the weight bank's shape alone: tiled FFT
-    (``_correlate_fft``) when Cin > 1 and p >= 9, where it needs far fewer
-    flops than im2col, and banded im2col (``_correlate_im2col``) otherwise,
-    where the FFT's transforms cost more than the GEMM they save.
+    Two routes, chosen by the weight bank's shape alone: tiled DFT-matrix
+    overlap-save (``_correlate_fft``) when Cin > 1 and p >= 9, where it needs
+    far fewer flops than im2col, and banded im2col (``_correlate_im2col``)
+    otherwise, where the tile transforms cost more than the GEMM they save.
     """
     if weights.shape[0] > 1 and weights.shape[1] >= 9:
         return _correlate_fft(arr, weights)
@@ -129,61 +129,97 @@ def _correlate_im2col(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tap_spectrum(weights: np.ndarray, n: int) -> np.ndarray:
+def _tap_spectrum(weights: np.ndarray, dft: np.ndarray) -> np.ndarray:
     """Conjugate n x n DFT of each zero-padded tap plane, as (n//2 + 1, n, Cin, Cout).
 
-    The leading axis holds row frequencies 0..n/2 (the axis ``rfftn`` halves
-    when the rows are its last transformed axis), the next one column
-    frequencies 0..n-1. Two DFT-matrix GEMMs, over rows then columns; the
-    twiddles carry the + sign, so the conjugate that turns a convolution into a
-    correlation costs nothing.
+    `dft` is the n x n DFT matrix with the + sign, exp(2*pi*i*j*k/n). The
+    leading axis holds row frequencies 0..n/2, the next one column frequencies
+    0..n-1. Two GEMMs against the first p columns of `dft`, over rows then
+    columns; its twiddles carry the + sign, so the conjugate that turns a
+    convolution into a correlation costs nothing.
     """
     ci, p, _, co = weights.shape
-    # k*u is reduced mod n so each twiddle is exp of an exact multiple of 2*pi/n
-    dft = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(p)) % n) / n)  # (n, p)
-    rows = dft[: n // 2 + 1] @ weights.transpose(1, 2, 0, 3).reshape(p, -1)  # (kr, v * Cin * Cout)
-    return np.matmul(dft, rows.reshape(-1, p, ci * co)).reshape(-1, n, ci, co)
+    n = dft.shape[0]
+    taps = dft[:, :p]
+    rows = taps[: n // 2 + 1] @ weights.transpose(1, 2, 0, 3).reshape(p, -1)  # (kr, v * Cin * Cout)
+    return np.matmul(taps, rows.reshape(-1, p, ci * co)).reshape(-1, n, ci, co)
 
 
 def _correlate_fft(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Overlap-save FFT correlation over n x n input tiles, n = 3(p - 1).
+    """Overlap-save correlation over n x n input tiles, n = 3(p - 1), with every
+    transform a GEMM against the n x n DFT matrix.
 
     Each tile yields s = n - p + 1 output rows and columns, the part of its
     circular correlation with the taps that never wraps. The input is processed
-    one row of tiles at a time: the row is zero-padded into one reused strip,
-    its tiles (overlapping views of the strip) are ``rfftn``'d, each frequency
-    is one (tiles x Cin) @ (Cin x Cout) complex product with the tap spectrum,
-    and the ``irfftn``'d tiles are cropped into the preallocated output. The
-    transforms write into buffers allocated once per call, so the working set
-    is the tap spectrum ((n/2 + 1) * n * Cin * Cout complex values, built from
-    ``weights`` on every call), the output and one row of tiles. Outputs agree
-    with im2col to rounding (about 1e-15 relative), and repeat calls are
-    bit-identical.
+    one row of tiles (n image rows, zero-padded) at a time, in four steps:
+
+    - row transform: one real GEMM of the tile row's image rows onto the
+      n/2 + 1 row frequencies, before tiling, so the columns that neighbouring
+      tiles share are transformed once; rows outside the image are left out of
+      the GEMM, and only the zero columns of the padding are written;
+    - column transform: one complex GEMM per tile (overlapping views of the
+      transformed rows) onto all n column frequencies;
+    - per frequency, one (tiles x Cin) @ (Cin x Cout) complex product with the
+      tap spectrum;
+    - a pruned inverse: one complex GEMM onto the s kept columns, then the
+      complex-to-real row inverse onto the s kept rows, with the Hermitian
+      weights 1/n (frequencies 0 and n/2) and 2/n (the others), whose real part
+      is copied into the preallocated output.
+
+    The transforms write into two buffers allocated once per call, which the
+    steps use in turn, so the working set is the tap spectrum
+    ((n/2 + 1) * n * Cin * Cout complex values, built from ``weights`` on every
+    call), the output and two tile-row buffers. Outputs agree with im2col to
+    rounding (about 1e-15 relative), and repeat calls are bit-identical.
     """
     h, w, ci = arr.shape
     p, co = weights.shape[1], weights.shape[3]
     m = (p - 1) // 2
     n = 3 * (p - 1)
     s = n - p + 1
+    kr = n // 2 + 1
     cols = -(-w // s)
-    spec = _tap_spectrum(weights, n)
-    strip = np.zeros((n, cols * s + p - 1, ci))
-    st = strip.strides
-    tiles = as_strided(strip, (n, cols, n, ci), (st[0], s * st[1], st[1], st[2]))  # (row, tile, col, Cin)
-    freq = np.empty((n // 2 + 1, cols, n, ci), dtype=complex)
-    prod = np.empty((n // 2 + 1, cols, n, co), dtype=complex)
-    y = np.empty((n, cols, n, co))
+    k = np.arange(n)
+    # j*k is reduced mod n so each twiddle is exp of an exact multiple of 2*pi/n
+    dft = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)  # + sign: the inverse DFT times n
+    spec = _tap_spectrum(weights, dft)  # (kr, kc, Cin, Cout)
+    fwd = dft.conj()  # the forward DFT
+    # forward row frequencies 0..n/2 as real columns (Re, Im interleaved), so a
+    # real GEMM writes them straight into a complex array
+    row_fwd = np.ascontiguousarray(fwd[:kr].T).view(np.float64)  # (n, 2 * kr)
+    col_inv = dft[:s] / n  # (s, kc)
+    row_inv = dft[:s, :kr] * np.where(2 * k[:kr] % n, 2.0, 1.0) / n  # (s, kr)
+    # two buffers, used in turn: each step reads one and writes the other
+    wide = cols * s + p - 1  # zero-padded tile row width
+    buf_a = np.empty(max(w * ci * kr, cols * n * kr * ci, s * kr * cols * co), dtype=complex)
+    buf_b = np.empty(max(wide * kr * ci, n * kr * cols * co, s * s * cols * co), dtype=complex)
+    half = buf_a[: w * ci * kr].reshape(w, ci, kr)  # row transform, (image col, Cin, kr)
+    rows = buf_b[: wide * kr * ci].reshape(wide, kr, ci)  # the same, zero-padded and reordered
+    rs = rows.strides
+    tiles = as_strided(rows, (cols, n, kr * ci), (s * rs[0], rs[0], rs[2]))  # (tile, col, kr * Cin)
+    freq = buf_a[: cols * n * kr * ci].reshape(cols, n, kr, ci)  # (tile, kc, kr, Cin)
+    prod = buf_b[: n * kr * cols * co].reshape(n, kr, cols, co)  # (kc, kr, tile, Cout)
+    y_cols = buf_a[: s * kr * cols * co].reshape(s, kr, cols * co)  # (out col, kr, tile * Cout)
+    y = buf_b[: s * s * cols * co].reshape(s, s, cols * co)  # (out col, out row, tile * Cout)
+    y_real = y.real.reshape(s, s, cols, co)
     out = np.empty((h, w, co))
+    full, rem = divmod(w, s)  # whole tiles inside the image, and the last one's width
     for r0 in range(0, h, s):
-        lo, hi = max(m - r0, 0), min(h + m - r0, n)  # strip rows that fall inside the image
-        strip[:lo] = 0.0
-        strip[lo:hi, m : m + w] = arr[r0 - m + lo : r0 - m + hi]
-        strip[hi:] = 0.0
-        np.fft.rfftn(tiles, axes=(2, 0), out=freq)
-        np.matmul(freq.transpose(0, 2, 1, 3), spec, out=prod.transpose(0, 2, 1, 3))
-        np.fft.irfftn(prod, s=(n, n), axes=(2, 0), out=y)
+        lo, hi = max(m - r0, 0), min(h + m - r0, n)  # tile rows that fall inside the image
+        image_rows = arr[r0 - m + lo : r0 - m + hi].reshape(hi - lo, w * ci)
+        np.matmul(image_rows.T, row_fwd[lo:hi], out=half.view(np.float64).reshape(w * ci, 2 * kr))
+        rows[:m] = 0.0
+        np.copyto(rows[m : m + w], half.transpose(0, 2, 1))
+        rows[m + w :] = 0.0
+        np.matmul(fwd, tiles, out=freq.reshape(cols, n, kr * ci))
+        np.matmul(freq.transpose(2, 1, 0, 3), spec, out=prod.transpose(1, 0, 2, 3))
+        np.matmul(col_inv, prod.reshape(n, -1), out=y_cols.reshape(s, -1))
+        np.matmul(row_inv, y_cols, out=y)
         r1 = min(r0 + s, h)
-        out[r0:r1] = y[: r1 - r0, :, :s].reshape(r1 - r0, cols * s, co)[:, :w]
+        band, kept = out[r0:r1], y_real[:, : r1 - r0]
+        band[:, : full * s].reshape(r1 - r0, full, s, co)[...] = kept[:, :, :full].transpose(1, 2, 0, 3)
+        if rem:
+            band[:, full * s :] = kept[:rem, :, full].transpose(1, 0, 2)
     return out
 
 

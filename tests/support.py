@@ -2,12 +2,13 @@
 
 Everything here recomputes expected values through a route independent of the
 library's own path (dense QP solvers, exhaustive search, finite differences,
-a scipy.signal convolution, an unbanded one-GEMM correlation, reshape/
-transpose phase planes for the blur-downsample operator, a per-tap
-strided-slice weight gradient, full weight banks that make the final pool
-average every orientation, a TV dual loop that recomputes and reallocates
-everything each iteration, an ISTA loop that computes every step, a trainer
-that builds every weight bank and chains every image's gradient on its own),
+a scipy.signal convolution, an unbanded one-GEMM correlation, a ``numpy.fft``
+overlap-save correlation, reshape/transpose phase planes for the
+blur-downsample operator, a per-tap strided-slice weight gradient, full weight
+banks that make the final pool average every orientation, a TV dual loop that
+recomputes and reallocates everything each iteration, an ISTA loop that
+computes every step, a trainer that builds every weight bank and chains every
+image's gradient on its own),
 so agreement is evidence rather than tautology.
 It also holds the code that only the tests use: the one-filter sampling API
 (``ParamFilter``, ``sample_filter``), ``param_count``, the rotation action on
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 import scipy.signal
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from rotprox import (
     Bias,
@@ -194,6 +195,41 @@ def one_shot_correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     m = (p - 1) // 2
     win = sliding_window_view(np.pad(arr, ((m, m), (m, m), (0, 0))), (p, p), axis=(0, 1))
     return np.tensordot(win, weights, axes=([2, 3, 4], [0, 1, 2]))
+
+
+def fft_overlap_save_correlate(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Zero-padded SAME correlation by ``numpy.fft`` overlap-save over n x n tiles, n = 3(p - 1).
+
+    The FFT route as it was before its transforms became DFT-matrix GEMMs, kept
+    as an oracle for them: one row of tiles at a time, the tiles are
+    ``rfftn``'d, each frequency is one (tiles x Cin) @ (Cin x Cout) product with
+    the conjugate tap spectrum (here ``rfftn``'d too), and the ``irfftn``'d
+    tiles keep their first s = n - p + 1 rows and columns, which never wrap.
+    """
+    h, w, ci = arr.shape
+    p, co = weights.shape[1], weights.shape[3]
+    m = (p - 1) // 2
+    n = 3 * (p - 1)
+    s = n - p + 1
+    cols = -(-w // s)
+    taps = np.zeros((ci, n, n, co))
+    taps[:, :p, :p] = weights
+    spec = np.conj(np.fft.rfftn(taps, axes=(2, 1))).transpose(1, 2, 0, 3)  # (n//2 + 1, n, Cin, Cout)
+    strip = np.zeros((n, cols * s + p - 1, ci))
+    st = strip.strides
+    tiles = as_strided(strip, (n, cols, n, ci), (st[0], s * st[1], st[1], st[2]))  # (row, tile, col, Cin)
+    out = np.empty((h, w, co))
+    for r0 in range(0, h, s):
+        lo, hi = max(m - r0, 0), min(h + m - r0, n)  # strip rows that fall inside the image
+        strip[:lo] = 0.0
+        strip[lo:hi, m : m + w] = arr[r0 - m + lo : r0 - m + hi]
+        strip[hi:] = 0.0
+        freq = np.fft.rfftn(tiles, axes=(2, 0))
+        prod = np.matmul(freq.transpose(0, 2, 1, 3), spec).transpose(0, 2, 1, 3)
+        y = np.fft.irfftn(prod, s=(n, n), axes=(2, 0))
+        r1 = min(r0 + s, h)
+        out[r0:r1] = y[: r1 - r0, :, :s].reshape(r1 - r0, cols * s, co)[:, :w]
+    return out
 
 
 def reshape_blur_downsample(op, x: np.ndarray) -> np.ndarray:

@@ -228,6 +228,22 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"t_list": t_list})
         self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")
 
+    @pytest.mark.parametrize("threshold", [-1, 0, 0.0, float("nan")])
+    def test_non_positive_threshold(self, tmp_path, capsys, monkeypatch, threshold):
+        # no relative spread (>= 0) is strictly below it, so the audit could only fail
+        monkeypatch.setattr(cli, "synthetic_image", lambda *a, **k: pytest.fail("audit ran"))
+        cfg = write_config(tmp_path, {"threshold": threshold})
+        self.check(["audit-regularizers", "--config", cfg, "--out", str(tmp_path)], capsys, "threshold")
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 9.0 TiB", ""])
+    def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch, message):
+        def exhausted(cfg, out_dir):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_audit_equivariance", exhausted)
+        err = self.check(["audit-equivariance", "--out", str(tmp_path)], capsys)
+        assert err == "error: audit-equivariance ran out of memory" + (f": {message}" if message else "") + "\n"
+
     def test_empty_t_list(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t_list": []})
         self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "t_list")
@@ -353,14 +369,6 @@ class TestAuditRegularizers:
         for kind, values in by_kind.items():
             assert len(values) == 1, kind
         assert (out / "regularizers_summary.txt").exists()
-
-    def test_zero_threshold_always_fails(self, tmp_path, capsys):
-        # spread >= 0 can never be strictly below a zero threshold.
-        cfg = write_config(tmp_path, {"image_size": 16, "n_angles": 1, "threshold": 0.0})
-        rc = main(["audit-regularizers", "--config", cfg, "--out", str(tmp_path / "reg")])
-        stdout = capsys.readouterr().out
-        assert rc == 1
-        assert "FAIL" in stdout
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         base = {"image_size": 24, "n_angles": 2}

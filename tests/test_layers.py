@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from support import (
     PlainConv,
     act_on_feature_map,
+    fft_overlap_save_correlate,
     full_banks,
     make_plain_net,
     one_shot_correlate,
@@ -289,6 +290,22 @@ class TestForwardWorkingSet:
 
 def _relative_gap(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestSweepConvsMatchFftOracle:
+    """The FFT route at the sweep's 12 conv shapes (128^2, p = 9): each net's
+    first group conv on its full 3t -> 3t bank and its pooled conv on the
+    3t -> 3 orientation-mean bank, against the ``numpy.fft`` overlap-save oracle."""
+
+    @pytest.mark.parametrize("bank", ["full", "pooled"])
+    @pytest.mark.parametrize("t", [1, 2, 4, 8, 12, 24])
+    def test_matches_numpy_fft_oracle(self, t, bank):
+        weights = weight_banks(make_sweep_net(t, seed=5))[3 if bank == "full" else 6]
+        assert weights.shape == (3 * t, 9, 9, 3 * t if bank == "full" else 3)
+        arr = np.random.default_rng(t).standard_normal((128, 128, 3 * t))
+        got = correlate_stack(arr, weights)
+        assert _relative_gap(got, fft_overlap_save_correlate(arr, weights)) <= 1e-13
+        assert got.tobytes() == correlate_stack(arr, weights).tobytes()
 
 
 POOLED_NETS = {
