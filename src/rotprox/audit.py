@@ -141,6 +141,11 @@ def _uniform_angles(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.pi * (1.0 - 2.0 * rng.random(count))
 
 
+def _check_angles(angles: int | Sequence[float]) -> None:
+    if (angles if isinstance(angles, int) else len(angles)) < 1:
+        raise ValueError(f"angles must be a count >= 1 or a nonempty list of angles, got {angles!r}")
+
+
 def measure_equivariance(
     net: NetworkSpec,
     images: Sequence[PlanarImage],
@@ -157,8 +162,7 @@ def measure_equivariance(
     """
     if len(images) == 0:
         raise ValueError("empty image set")
-    if (angles if isinstance(angles, int) else len(angles)) < 1:
-        raise ValueError(f"angles must be a count >= 1 or a nonempty list of angles, got {angles!r}")
+    _check_angles(angles)
     crop = net.receptive_radius
     banks = weight_banks(net)
     rng = np.random.default_rng(seed)
@@ -211,10 +215,18 @@ def order_sweep(
     shared across t (see make_sweep_net), so the comparison is paired: differences
     reflect orientation quantization, not sampling jitter.
     """
+    _check_angles(angles)
+    nets = [make_sweep_net(t, channels=channels, seed=net_seed) for t in t_list]
+    ring = max(net.receptive_radius for net in nets)
+    # a size <= 0 is an empty field domain, which the fields themselves refuse
+    if 0 < image_size <= 2 * ring:
+        raise ValueError(
+            f"image_size {image_size} leaves no pixels inside the sweep nets' receptive ring "
+            f"({ring} pixels per side, so image_size must be > {2 * ring})"
+        )
     images = ring_stack(image_count, image_size, image_seed, mesh, orders=SWEEP_RING_ORDERS)
     reports = []
-    for t in t_list:
-        net = make_sweep_net(t, channels=channels, seed=net_seed)
+    for net in nets:
         bi = bound_inputs_for(net, images)
         reports.append(
             measure_equivariance(net, images, angles=angles, seed=angle_seed, bound_inputs=bi)

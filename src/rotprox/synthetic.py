@@ -21,9 +21,10 @@ from .grids import PlanarImage, centered_grid
 # audits read interpolation error of the taper ring as an error floor.
 _DISK_INNER = 0.60
 _DISK_OUTER = 0.92
-# The normalization probe is evaluated this many rows at a time, so that no
-# temporary (32 * 257 * 8 = 66 KB) crosses glibc's 128 KiB mmap threshold and
-# gets mapped and faulted in anew on every call.
+# The normalization probe is evaluated this many rows at a time, as broadcast
+# axes, so that no temporary (at most the 32 * 257 * 8 = 66 KB radius and taper
+# blocks) crosses glibc's 128 KiB mmap threshold and gets mapped and faulted in
+# anew on every call.
 _PROBE_ROWS = 32
 
 
@@ -40,20 +41,30 @@ class _DiskField:
             raise ValueError(f"domain radius must be positive and finite, got {self.domain_radius}")
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The field at the points (x, y), which broadcast against each other.
+
+        The terms are evaluated only where the taper is nonzero (about two thirds
+        of a square around the disk); every other sample is +0.0. The mask is the
+        taper's own zero set, not r < outer radius, since the taper rounds to 0
+        slightly inside it."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         r = np.hypot(x, y)
-        out = self._terms(x, y, r)
-        out *= self.scale
-        return out * quintic_falloff(r, _DISK_INNER * self.domain_radius, _DISK_OUTER * self.domain_radius)
+        taper = quintic_falloff(r, _DISK_INNER * self.domain_radius, _DISK_OUTER * self.domain_radius)
+        inside = taper != 0.0
+        terms = self._terms(np.broadcast_to(x, r.shape)[inside], np.broadcast_to(y, r.shape)[inside], r[inside])
+        terms *= self.scale
+        out = np.zeros(r.shape)
+        out[inside] = terms * taper[inside]
+        return out
 
 
 def _normalized(field: _DiskField) -> _DiskField:
     """`field` rescaled to a max |value| of 1 on a fixed 257x257 probe grid, so
     the scale does not depend on the resolution the field is later sampled at."""
     probe = np.linspace(-field.domain_radius, field.domain_radius, 257)
-    blocks = (np.meshgrid(probe, probe[i : i + _PROBE_ROWS]) for i in range(0, probe.size, _PROBE_ROWS))
-    peak = max(float(np.max(np.abs(field(px, py)))) for px, py in blocks)
+    rows = (probe[i : i + _PROBE_ROWS, None] for i in range(0, probe.size, _PROBE_ROWS))
+    peak = max(float(np.max(np.abs(field(probe[None, :], py)))) for py in rows)
     return field if peak == 0.0 else replace(field, scale=1.0 / peak)
 
 
@@ -131,16 +142,15 @@ class RingField(_DiskField):
         return out
 
 
-def ring_field(seed: int, domain_radius: float, orders) -> RingField:
-    """Draw a seeded, normalized ring field with one ring per harmonic order."""
+def ring_field(seed: int, domain_radius: float, orders: np.ndarray) -> RingField:
+    """Draw a seeded, normalized ring field with one ring per harmonic order (int64, >= 1)."""
     rng = np.random.default_rng(seed)
     rr = domain_radius
     lam = rr / 5.0
-    orders = np.asarray(orders, dtype=np.int64)
     radii = np.clip(orders * lam / (2.0 * np.pi), 0.18 * rr, 0.76 * rr)
     # mild spectral decay: natural angular spectra fall off with order, and a
     # decaying mix keeps coarse group orders from being out-shouted by fine ones
-    decay = (orders / max(orders.min(), 1)) ** -0.5
+    decay = (orders / orders.min()) ** -0.5
     return _normalized(RingField(
         domain_radius=rr,
         scale=1.0,
@@ -154,6 +164,10 @@ def ring_field(seed: int, domain_radius: float, orders) -> RingField:
 
 def ring_stack(count: int, size: int, seed: int, mesh: float, *, orders) -> list[PlanarImage]:
     """Seeded size x size ring-field images; image i uses child seed i of `seed`."""
+    m = np.asarray(orders)
+    if m.ndim != 1 or m.size == 0 or m.dtype.kind not in "iu" or m.min() < 1:
+        raise ValueError(f"orders must be a nonempty sequence of integer harmonic orders >= 1, got {orders!r}")
+    orders = m.astype(np.int64)
     radius = (size / 2.0) * mesh
     seeds = _child_seeds(seed, count)
     return [sample_field(ring_field(s, radius, orders), size, size, mesh) for s in seeds]
@@ -166,8 +180,9 @@ def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
 
 
 def sample_field(field, height: int, width: int, mesh: float) -> PlanarImage:
-    """Evaluate a continuous field on the centred pixel grid."""
-    # + 0.0 turns the taper's -0.0 samples into +0.0, which keeps image bytes stable
+    """Evaluate a continuous field on the centred pixel grid; pixels outside the
+    field's taper disk read +0.0 without evaluating its terms."""
+    # + 0.0 turns any -0.0 sample inside the disk into +0.0, which keeps image bytes stable
     return PlanarImage(field(*centered_grid(height, width, mesh))[:, :, None] + 0.0, mesh=mesh)
 
 

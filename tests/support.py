@@ -8,7 +8,8 @@ blur-downsample operator, a per-tap strided-slice weight gradient, full weight
 banks that make the final pool average every orientation, a TV dual loop that
 recomputes and reallocates everything each iteration, an ISTA loop that
 computes every step, a trainer that builds every weight bank and chains every
-image's gradient on its own),
+image's gradient on its own, a synthetic field evaluated at every point of the
+grid, inside its taper disk or not),
 so agreement is evidence rather than tautology.
 It also holds the code that only the tests use: the one-filter sampling API
 (``ParamFilter``, ``sample_filter``), ``param_count``, the rotation action on
@@ -64,8 +65,9 @@ from rotprox import (
     weight_banks,
 )
 from rotprox.cli import AUDIT_EQ_DEFAULTS
-from rotprox.filters import init_coefficients
+from rotprox.filters import init_coefficients, quintic_falloff
 from rotprox.layers import GroupConv, correlate_stack
+from rotprox.synthetic import _DISK_INNER, _DISK_OUTER
 
 GRAD_CHECK_FAMILIES = ("plain_conv", "lift", "group_conv", "pooled", "residual")
 
@@ -531,6 +533,17 @@ def refinement_errors(p_list=(5, 9, 17), image_count: int = 3, base_size: int = 
         report = measure_equivariance(net, images, angles=[2.0 * math.pi / t])
         means.append(report.mean_error)
     return means
+
+
+def full_grid_field(field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A synthetic field's terms at every point (x, y), scaled and then tapered,
+    so points outside the taper disk read terms * 0.0, which may be -0.0."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    r = np.hypot(x, y)
+    out = field._terms(x, y, r)
+    out *= field.scale
+    return out * quintic_falloff(r, _DISK_INNER * field.domain_radius, _DISK_OUTER * field.domain_radius)
 
 
 def count_conv_calls(monkeypatch, name: str) -> collections.Counter:

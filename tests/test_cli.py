@@ -17,6 +17,7 @@ from rotprox import (
     gaussian_kernel,
     init_network,
     make_denoiser_net,
+    make_sweep_net,
     parameters,
     psnr,
     read_eqt1,
@@ -27,7 +28,7 @@ from rotprox import (
 )
 from rotprox.checkpoint import load as load_checkpoint
 from rotprox.checkpoint import save as save_checkpoint
-from rotprox import cli
+from rotprox import audit, cli
 from rotprox.cli import main
 
 
@@ -256,6 +257,24 @@ class TestConfigErrors:
             err = self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "angles")
         assert "Warning" not in err
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("below", [0, 1, 12], ids=["ring", "ring-1", "tiny"])
+    def test_image_size_inside_the_receptive_ring(self, tmp_path, capsys, monkeypatch, below):
+        # the largest size refused is twice the sweep nets' receptive radius, read off the nets
+        ring = max(make_sweep_net(t).receptive_radius for t in cli.AUDIT_EQ_DEFAULTS["t_list"])
+
+        def built(*args, **kwargs):
+            raise AssertionError("an image was built")
+
+        monkeypatch.setattr(audit, "ring_stack", built)
+        cfg = write_config(tmp_path, {"image_size": 2 * ring - below})
+        self.check(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)], capsys, "image_size")
+
+    def test_image_size_just_outside_the_receptive_ring_runs(self, tmp_path, capsys):
+        ring = make_sweep_net(1).receptive_radius
+        cfg = write_config(tmp_path, {"image_size": 2 * ring + 1, "t_list": [1], "angles": 1, "image_count": 1})
+        assert main(["audit-equivariance", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+        assert "error" not in capsys.readouterr().err
 
 
 class TestAuditEquivariance:

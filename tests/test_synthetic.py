@@ -9,7 +9,20 @@ import pytest
 
 from rotprox.audit import SWEEP_RING_ORDERS
 from rotprox.cli import AUDIT_EQ_DEFAULTS, AUDIT_REG_DEFAULTS, DENOISE_DEFAULTS, SR_DEFAULTS, TRAIN_DEFAULTS
-from rotprox.synthetic import ring_stack, sample_field, synthetic_field, synthetic_image, synthetic_stack
+from rotprox import synthetic
+from rotprox.filters import quintic_falloff
+from rotprox.grids import centered_grid
+from rotprox.synthetic import (
+    GaborField,
+    RingField,
+    ring_field,
+    ring_stack,
+    sample_field,
+    synthetic_field,
+    synthetic_image,
+    synthetic_stack,
+)
+from support import full_grid_field
 
 
 def _digest(images) -> str:
@@ -71,3 +84,77 @@ def test_domain_radius_must_be_positive_and_finite(value):
             synthetic_field(0, value)
         with pytest.raises(ValueError, match="domain radius"):
             ring_stack(1, 8, 0, value, orders=SWEEP_RING_ORDERS)  # radius 4 * mesh
+
+
+RADIUS = 16.0
+FIELDS = {
+    "gabor": lambda: synthetic_field(3, RADIUS),
+    "ring": lambda: ring_field(np.random.SeedSequence(3), RADIUS, np.asarray(SWEEP_RING_ORDERS)),
+}
+
+
+def _straddling_points():
+    # radii within 2000 ulps either side of the outer radius: the taper rounds to
+    # exactly 0 slightly inside it, and to tiny negatives just inside that
+    r = synthetic._DISK_OUTER * RADIUS * (1.0 + np.arange(-2000, 2001) * 2.0**-52)
+    phi = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)[:, None]
+    return r * np.cos(phi), r * np.sin(phi)
+
+
+def _broadcast_axes():
+    probe = np.linspace(-RADIUS, RADIUS, 257)
+    return probe[None, :], probe[:40, None]
+
+
+POINTS = {
+    "full_grid": lambda: centered_grid(37, 32, 1.0),
+    "broadcast_axes": _broadcast_axes,
+    "straddling_outer_radius": _straddling_points,
+}
+
+
+@pytest.mark.parametrize("points", sorted(POINTS))
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_field_matches_full_grid_oracle(kind, points):
+    # inside the disk every sample is the full-grid evaluation bit for bit; outside
+    # it is +0.0 where the full grid reads terms * 0.0 of either sign
+    field = FIELDS[kind]()
+    x, y = POINTS[points]()
+    taper = quintic_falloff(np.hypot(x, y), synthetic._DISK_INNER * RADIUS, synthetic._DISK_OUTER * RADIUS)
+    outside = taper == 0.0
+    assert outside.any() and not outside.all()
+    got = field(x, y)
+    assert got.tobytes() == np.where(outside, 0.0, full_grid_field(field, x, y)).tobytes()
+    assert not np.signbit(got[outside]).any()
+
+
+@pytest.mark.parametrize("cls, normalize", [
+    (GaborField, lambda: synthetic_field(0, RADIUS)),
+    (RingField, lambda: ring_field(np.random.SeedSequence(0), RADIUS, np.asarray(SWEEP_RING_ORDERS))),
+], ids=["gabor", "ring"])
+def test_normalization_skips_the_terms_outside_the_disk(monkeypatch, cls, normalize):
+    # the disk of radius 0.92 R covers 66.5% of the 257 x 257 probe square; evaluating
+    # the terms on the whole square would hand them 257**2 points
+    received = []
+    terms = cls._terms
+
+    def counting(self, x, y, r):
+        received.append(r.size)
+        return terms(self, x, y, r)
+
+    monkeypatch.setattr(cls, "_terms", counting)
+    normalize()
+    assert 0 < sum(received) <= 0.70 * 257**2
+
+
+@pytest.mark.parametrize("orders", [(), (0, 3), (-3, 6), (3.5,), (3, 6.0), (True,), [[3, 6]], "36"],
+                         ids=["empty", "zero", "negative", "fraction", "float", "bool", "nested", "string"])
+def test_ring_orders_must_be_positive_integers(monkeypatch, orders):
+    def evaluated(*args):
+        raise AssertionError("a ring field was drawn")
+
+    monkeypatch.setattr(synthetic, "ring_field", evaluated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="orders"):
+            ring_stack(1, 8, 0, 1.0, orders=orders)
