@@ -20,7 +20,7 @@ import numpy as np
 
 from .filters import SmoothnessBounds, bounds_from_coefficients, image_bounds
 from .grids import PlanarImage, central_differences, relative_difference, rotate_image
-from .layers import NetworkSpec, forward, make_sweep_net, weight_banks
+from .layers import NetworkSpec, forward, make_sweep_net
 from .synthetic import ring_stack
 
 SWEEP_GROUP_ORDERS = (1, 2, 4, 8, 12, 24)
@@ -164,7 +164,6 @@ def measure_equivariance(
         raise ValueError("empty image set")
     _check_angles(angles)
     crop = net.receptive_radius
-    banks = weight_banks(net)
     rng = np.random.default_rng(seed)
     errors: list[tuple[float, float]] = []
     for img in images:
@@ -173,10 +172,10 @@ def measure_equivariance(
             if isinstance(angles, int)
             else np.asarray(angles, dtype=np.float64)
         )
-        base = forward(net, img, banks)
+        base = forward(net, img)
         for theta in thetas:
             theta = float(theta)
-            lhs = forward(net, rotate_image(img, theta), banks)
+            lhs = forward(net, rotate_image(img, theta))
             errors.append((theta, relative_difference(lhs, rotate_image(base, theta), crop=crop)))
     mean_error = float(np.mean([e for _, e in errors]))
     bound = None

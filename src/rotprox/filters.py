@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import PlanarImage, central_differences, rotated_grid
+from .grids import PlanarImage, _check_int, central_differences, rotated_grid
 
 SUPPORT_RADIUS = 1.0
 FLAT_RADIUS = 0.5  # window is identically 1 inside this radius
@@ -68,9 +68,11 @@ class FourierBasis:
 
     def __post_init__(self):
         p = self.filter_size
-        if not (isinstance(p, (int, np.integer)) and p >= 1 and p % 2 == 1):
+        _check_int("filter size", p)
+        if not (p >= 1 and p % 2 == 1):
             raise ValueError(f"filter size must be odd and positive, got {p}")
-        if not (isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 0):
+        _check_int("cutoff", self.cutoff)
+        if self.cutoff < 0:
             raise ValueError(f"cutoff must be a nonnegative integer, got {self.cutoff}")
         if self.cutoff > (p - 1) // 2:
             raise ValueError(

@@ -1,5 +1,6 @@
 """Dense planar images, the centred pixel grid that images and filter taps are
-sampled on, plane rotation, central-difference stencils and the relative error.
+sampled on, plane rotation, central-difference stencils, the relative error and
+the integer and real argument checks that the other modules share.
 
 Every equivariance statement in this package is written against the rotation
 defined here: an exact index permutation for quarter turns on square grids,
@@ -9,12 +10,28 @@ bilinear resampling otherwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # Angles within this distance of a multiple of pi/2 take the exact permutation path.
 QUARTER_SNAP_TOL = 1e-12
+
+
+def _check_real(name: str, value, low: float, strict: bool = False) -> None:
+    """Reject a bool, a non-real value, NaN, and a value below `low` (or equal
+    to it when `strict`) with ValueError; config values reach here unchecked."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not (ok and (value > low if strict else value >= low)):
+        raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """Reject a bool, a non-integer and an integer below `low`, if given, with ValueError."""
+    bad = isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral)
+    if bad or (low is not None and value < low):
+        raise ValueError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
 
 
 class DegenerateReferenceError(ValueError):

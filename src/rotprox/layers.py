@@ -50,13 +50,11 @@ Inside a pass, values are bare float64 arrays: (H, W, C) for a planar map and
 for non-finite entries, and wraps the final output.
 
 Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
-A weight bank is a function of the coefficients alone, so ``weight_banks(net)``
-builds every conv's bank once for the net's current parameters, and
-``forward(net, x, banks)`` reuses them until a coefficient changes; without
-``banks``, ``forward`` builds them for that one pass. A bank is the conv's
-(n*Cin, p, p, t*Cout) ``weights()``, except that the conv the final
-``OrientationPool`` reads gets the (n*Cin, p, p, Cout) mean of its t
-output-orientation blocks (see ``weight_banks``); every pass uses these banks.
+A weight bank is a function of the coefficients alone, so a net builds its
+banks on first use and again after any coefficient change (``weight_banks``);
+every pass takes them from there. A bank is the conv's (n*Cin, p, p, t*Cout)
+``weights()``, except that the conv the final ``OrientationPool`` reads gets
+the (n*Cin, p, p, Cout) mean of its t output-orientation blocks.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .filters import FourierBasis, basis_stack, init_coefficients
-from .grids import NonFiniteError, PlanarImage
+from .grids import NonFiniteError, PlanarImage, _check_int
 
 
 # Floor, in bytes, on one band's im2col patch matrix in _correlate_im2col.
@@ -257,8 +255,7 @@ def _header_ints(spec: dict, *keys: str) -> list[int]:
     """Integer fields of one EQCK layer entry; a missing, non-integer or negative field is a ValueError."""
     values = [spec.get(key) for key in keys]
     for key, v in zip(keys, values):
-        if type(v) is not int or v < 0:
-            raise ValueError(f"checkpoint {spec['kind']} layer: {key!r} must be an integer >= 0, got {v!r}")
+        _check_int(f"checkpoint {spec['kind']} layer: {key!r}", v, 0)
     return values
 
 
@@ -379,6 +376,9 @@ class _Conv(Layer):
         }
 
     def _check_channels(self) -> None:
+        _check_int("in_channels", self.in_channels)
+        _check_int("out_channels", self.out_channels)
+        self.in_channels, self.out_channels = int(self.in_channels), int(self.out_channels)
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError(
                 f"{self.kind} needs at least 1 input and 1 output channel, "
@@ -631,6 +631,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         self._states = _validate_chain(self.layers, self.group_order)
+        self._banks = (None, {})  # (coefficient bytes, banks); see weight_banks
 
     @property
     def group_order(self) -> int:
@@ -691,21 +692,27 @@ def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
     output-orientation blocks, (n*Cin, p, p, Cout). The pool is linear and every
     block reads the same input, so mean_o(x * W_o) = x * mean_o(W_o); that conv
     computes Cout channels instead of t*Cout, and the pool averages a fiber of
-    one. The banks hold while the coefficients do: a caller that changes one
-    must build them again.
+    one. The net keeps the banks, read-only, with the bytes of the coefficients
+    they were built from, and builds new ones when any of those bytes differ:
+    after an optimizer step, ``init_network`` or an assignment to ``coeffs``.
     """
+    convs = [(idx, layer) for idx, layer in enumerate(net.layers) if isinstance(layer, _Conv)]
+    key = tuple(layer.coeffs.tobytes() for _, layer in convs)
+    if net._banks[0] == key:
+        return net._banks[1]
     last = len(net.layers) - 1
     banks = {}
-    for idx, layer in enumerate(net.layers):
-        if isinstance(layer, _Conv):
-            w = layer.weights()
-            if idx == last - 1 and isinstance(net.layers[last], OrientationPool):
-                w = w.reshape(*w.shape[:3], layer.group_order, layer.out_channels).mean(axis=3)
-            banks[idx] = w
+    for idx, layer in convs:
+        w = layer.weights()
+        if idx == last - 1 and isinstance(net.layers[last], OrientationPool):
+            w = w.reshape(*w.shape[:3], layer.group_order, layer.out_channels).mean(axis=3)
+        w.flags.writeable = False
+        banks[idx] = w
+    net._banks = (key, banks)
     return banks
 
 
-def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None, entries: list | None = None):
+def _pass(net: NetworkSpec, x: PlanarImage, entries: list | None = None):
     """The layer loop of ``forward`` and ``training.forward_with_tape``: with an
     `entries` list, each layer records instead and appends (layer, saved).
 
@@ -718,8 +725,7 @@ def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None,
     value = x.data
     keep = net.read_outputs()
     activations = {}
-    if banks is None:
-        banks = weight_banks(net)
+    banks = weight_banks(net)
     for idx, layer in enumerate(net.layers):
         args = (value, activations, *([banks[idx]] if idx in banks else []))
         if entries is None:
@@ -734,13 +740,9 @@ def _pass(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None,
     return PlanarImage(value, mesh=x.mesh)
 
 
-def forward(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None) -> PlanarImage:
-    """Run the network on an image.
-
-    `banks` (from ``weight_banks``) supplies each conv's weight bank; without it
-    the pass builds them from the current coefficients.
-    """
-    return _pass(net, x, banks)
+def forward(net: NetworkSpec, x: PlanarImage) -> PlanarImage:
+    """Run the network on an image."""
+    return _pass(net, x)
 
 
 def parameters(net: NetworkSpec) -> list[tuple[int, str, np.ndarray]]:

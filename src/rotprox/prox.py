@@ -3,39 +3,25 @@ and a learned equivariant network prox.
 
 prox_R(v) = argmin_x 1/2 ||x - v||^2 + R(x). Soft-threshold solves R = w*|x|_1
 exactly; the TV prox runs projected dual ascent on the anisotropic dual; the
-neural prox wraps an equivariant network as identity + learned correction. All
-three commute with quarter-turn rotations (exactly, up to solver tolerance, and
-up to the equivariance bound respectively).
+neural prox wraps an equivariant network as identity + learned correction, and
+the net builds its weight banks on first use and again after any coefficient
+change. All three commute with quarter-turn rotations (exactly, up to solver
+tolerance, and up to the equivariance bound respectively).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PlanarImage
-from .layers import NetworkSpec, forward, weight_banks
+from .grids import PlanarImage, _check_int, _check_real
+from .layers import NetworkSpec, forward
 
 # 1/8 is the classical stability bound for projected dual ascent on the 2D
 # anisotropic TV dual; the iteration converges unconditionally at this step.
 TV_DUAL_STEP = 0.125
-
-
-def _check_real(name: str, value, low: float, strict: bool = False) -> None:
-    """Reject a bool, a non-real value, NaN, and a value below `low` (or equal
-    to it when `strict`) with ValueError; config values reach here unchecked."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    if not (ok and (value > low if strict else value >= low)):
-        raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {low}, got {value!r}")
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """Reject a bool, a non-integer and an integer below `low` with ValueError."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_tv_args(w, tol, max_iter) -> None:
@@ -187,11 +173,11 @@ def _tv_prox_plane(f: np.ndarray, w: float, tol: float, max_iter: int):
     return best_u, False, max_iter
 
 
-def neural_prox(x: PlanarImage, net: NetworkSpec, banks: dict[int, np.ndarray] | None = None) -> PlanarImage:
-    """Identity plus learned correction: x + forward(net, x, banks)."""
+def neural_prox(x: PlanarImage, net: NetworkSpec) -> PlanarImage:
+    """Identity plus learned correction: x + forward(net, x)."""
     if net.out_channels != x.channels:
         raise ValueError("proximal network must map the image space to itself")
-    correction = forward(net, x, banks)
+    correction = forward(net, x)
     return PlanarImage(x.data + correction.data, mesh=x.mesh)
 
 
@@ -221,18 +207,9 @@ class TVProx:
 
 @dataclass(frozen=True)
 class NeuralProx:
-    """x + net(x), with the net's weight banks built once, at construction.
-
-    The prox is a snapshot: every call uses those banks, so it stays the fixed
-    function of its input that ``ista_solve`` requires. The net must not change
-    afterwards; a changed net needs a new NeuralProx.
-    """
+    """x + net(x)."""
 
     net: NetworkSpec
-    banks: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "banks", weight_banks(self.net))
 
     def __call__(self, x: PlanarImage) -> PlanarImage:
-        return neural_prox(x, self.net, self.banks)
+        return neural_prox(x, self.net)

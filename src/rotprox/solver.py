@@ -18,9 +18,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .grids import NonFiniteError, PlanarImage
+from .grids import NonFiniteError, PlanarImage, _check_int, _check_real
 from .layers import correlate_stack
-from .prox import _check_int, _check_real
 
 POWER_ITERATIONS = 50
 
@@ -65,6 +64,7 @@ class BlurDownsample:
         k = np.asarray(self.kernel, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2 == 0:
             raise ValueError(f"kernel must be square and odd-sized, got {k.shape}")
+        _check_int("scale", self.scale)
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
         s, m = self.scale, k.shape[0] // 2
@@ -233,6 +233,7 @@ class _LastCall:
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Isotropic Gaussian taps on a size x size grid, normalized to sum 1."""
+    _check_int("kernel size", size)
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and positive, got {size}")
     if not sigma > 0:

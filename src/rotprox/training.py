@@ -10,10 +10,10 @@ then `chain_grads` carries each conv's taps through the fixed basis-sampling
 matrix onto its Fourier coefficients; equivariance is a property of the
 parametrization and survives any number of updates.
 
-The trainer builds each conv's weight bank once per parameter state (for an
-epoch's taped pass and for the final loss-only pass) and shares it across the
-images, which still go through the net one at a time. The chain step is
-linear, so it chains the images' summed tap gradients once per conv per epoch.
+The net builds its weight banks on first use and again after any coefficient
+change, so every image of an epoch shares one set; the images still go through
+the net one at a time. The chain step is linear, so the trainer chains the
+images' summed tap gradients once per conv per epoch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import NonFiniteError, PlanarImage
-from .layers import NetworkSpec, _pass, forward, parameters, weight_banks
+from .layers import NetworkSpec, _pass, forward, parameters
 
 
 @dataclass
@@ -35,10 +35,10 @@ class Tape:
     output: object
 
 
-def forward_with_tape(net: NetworkSpec, x: PlanarImage, banks: dict[int, np.ndarray] | None = None):
-    """forward(net, x, banks) while recording what the reverse pass needs."""
+def forward_with_tape(net: NetworkSpec, x: PlanarImage):
+    """forward(net, x) while recording what the reverse pass needs."""
     entries: list[tuple] = []
-    value = _pass(net, x, banks, entries)
+    value = _pass(net, x, entries)
     return value, Tape(entries=entries, output=value)
 
 
@@ -149,19 +149,17 @@ def train_denoiser(
             raise ValueError("image channels do not match the network output")
 
     def batch_loss_only() -> float:
-        banks = weight_banks(net)
         total = 0.0
         for clean, noisy in pairs:
-            out = forward(net, noisy, banks)
+            out = forward(net, noisy)
             total += mse_loss(noisy.data + out.data, clean.data)[0]
         return total / len(pairs)
 
     def batch_pass() -> tuple[float, dict[tuple[int, str], np.ndarray]]:
-        banks = weight_banks(net)
         total = 0.0
         acc: dict[tuple[int, str], np.ndarray] = {}
         for clean, noisy in pairs:
-            out, tape = forward_with_tape(net, noisy, banks)
+            out, tape = forward_with_tape(net, noisy)
             loss, dpred = mse_loss(noisy.data + out.data, clean.data)
             total += loss
             for key, val in backward(tape, dpred).items():

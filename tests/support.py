@@ -7,10 +7,9 @@ overlap-save correlation, reshape/transpose phase planes for the
 blur-downsample operator, a per-tap strided-slice weight gradient, full weight
 banks that make the final pool average every orientation, a TV dual loop that
 recomputes and reallocates everything each iteration, an ISTA loop that
-computes every step, a trainer that builds every weight bank and chains every
-image's gradient on its own, a synthetic field evaluated at every point of the
-grid, inside its taper disk or not),
-so agreement is evidence rather than tautology.
+computes every step, a trainer that chains every image's gradient on its own,
+a synthetic field evaluated at every point of the grid, inside its taper disk
+or not), so agreement is evidence rather than tautology.
 It also holds the code that only the tests use: the one-filter sampling API
 (``ParamFilter``, ``sample_filter``), ``param_count``, the rotation action on
 group feature maps (``act_on_feature_map``), the mesh-refinement study
@@ -181,10 +180,10 @@ def make_plain_net(seed: int = 0, channels: int = 4, n_conv: int = 3, p: int = 5
 
 def full_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
     """Every conv's full (n*Cin, p, p, t*Cout) bank, ``weights()``, including the
-    conv that the final pool reads. Passed to ``forward`` or ``forward_with_tape``,
-    they run the net without the orientation-mean bank: that conv computes all t
-    orientations, and the pool averages them (and spreads g / t over them on the
-    reverse pass)."""
+    conv that the final pool reads. Patched in for ``rotprox.layers.weight_banks``,
+    they make ``forward`` and ``forward_with_tape`` run the net without the
+    orientation-mean bank: that conv computes all t orientations, and the pool
+    averages them (and spreads g / t over them on the reverse pass)."""
     return {idx: layer.weights() for idx, layer in enumerate(net.layers) if isinstance(layer, (Lift, GroupConv))}
 
 
@@ -562,9 +561,9 @@ def count_conv_calls(monkeypatch, name: str) -> collections.Counter:
 
 
 def per_image_train(net: NetworkSpec, pairs, opt, epochs: int) -> list[float]:
-    """train_denoiser's loss trace by the per-image route: every forward builds
-    its own weight banks, and every image's local gradient is chained onto the
-    coefficients before the images' gradients are summed. Updates `net` in place.
+    """train_denoiser's loss trace by the per-image route: every image's local
+    gradient is chained onto the coefficients before the images' gradients are
+    summed. Updates `net` in place.
     """
 
     def epoch_pass() -> tuple[float, dict]:

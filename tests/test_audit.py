@@ -149,10 +149,13 @@ class TestMeasureEquivariance:
         assert [th for th, _ in first] != [th for th, _ in second]
 
     def test_banks_built_once_per_call(self, monkeypatch):
-        # 2 images x (1 reference + 3 rotated) forwards share one bank per conv
+        # 2 images x (1 reference + 3 rotated) forwards share one bank per conv,
+        # and a second call on the unchanged net builds none
         net = make_audit_net(4, seed=78)
         imgs = [synthetic_image(16, s, mesh=1 / 3) for s in (0, 1)]
         builds = count_conv_calls(monkeypatch, "weights")
+        measure_equivariance(net, imgs, angles=3)
+        assert builds == dict.fromkeys([id(layer) for layer in net.conv_layers], 1)
         measure_equivariance(net, imgs, angles=3)
         assert builds == dict.fromkeys([id(layer) for layer in net.conv_layers], 1)
 

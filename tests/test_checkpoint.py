@@ -8,6 +8,12 @@ from support import eqck_header, with_eqck_header
 
 from rotprox import (
     ChecksumError,
+    FourierBasis,
+    GroupConv,
+    Lift,
+    NetworkSpec,
+    OrientationPool,
+    ReLU,
     forward,
     init_network,
     load_checkpoint,
@@ -88,6 +94,22 @@ class TestRoundtrip:
         x = synthetic_image(16, 1, mesh=1 / 3)
         np.testing.assert_array_equal(forward(loaded, x).data, forward(net, x).data)
         assert loaded.group_order == 8
+
+    def test_numpy_integer_fields_round_trip(self, tmp_path):
+        # the layers keep Python ints, so the header holds integers that load accepts
+        basis = FourierBasis(np.int64(3), np.int64(1))
+        rng = np.random.default_rng(96)
+        net = NetworkSpec(
+            [
+                Lift(np.int64(1), np.int64(2), np.int64(4), basis, rng.standard_normal((2, 1, basis.size))),
+                ReLU(),
+                GroupConv(np.int64(2), np.int64(1), basis, rng.standard_normal((1, 2, 4, basis.size))),
+                OrientationPool(),
+            ]
+        )
+        loaded = load_checkpoint(save_checkpoint(net, tmp_path / "net.eqck"))
+        x = synthetic_image(10, 5)
+        assert forward(loaded, x).data.tobytes() == forward(net, x).data.tobytes()
 
     def test_loaded_net_is_trainable(self, tmp_path):
         loaded = load_checkpoint(save_checkpoint(_fresh_net(94), tmp_path / "net.eqck"))

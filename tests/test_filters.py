@@ -53,11 +53,17 @@ class TestFourierBasis:
     def test_even_size_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             FourierBasis(4, 1)
+        for size in (True, 5.0):  # True once built a 1-tap basis
+            with pytest.raises(ValueError, match="filter size must be an integer"):
+                FourierBasis(size, 0)
 
     def test_aliasing_cutoff_rejected(self):
         with pytest.raises(ValueError, match="alias"):
             FourierBasis(5, 3)
         FourierBasis(5, 2)
+        for cutoff in (True, 1.0):  # True once built a cutoff-1 basis
+            with pytest.raises(ValueError, match="cutoff must be an integer"):
+                FourierBasis(5, cutoff)
 
 
 class TestSampleFilter:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from support import (
     PlainConv,
     act_on_feature_map,
+    count_conv_calls,
     fft_overlap_save_correlate,
     full_banks,
     make_plain_net,
@@ -16,6 +17,7 @@ from support import (
 )
 
 from rotprox import (
+    Adam,
     Bias,
     FourierBasis,
     GroupConv,
@@ -331,16 +333,19 @@ class TestPooledBank:
                 layer.values[:] = 0.1 * rng.standard_normal(layer.channels)
         return net, synthetic_image(28, 4, mesh=1 / 3)
 
-    def test_forward_matches_full_banks(self, net_and_input):
+    def test_forward_matches_full_banks(self, net_and_input, monkeypatch):
         net, x = net_and_input
-        assert _relative_gap(forward(net, x).data, forward(net, x, full_banks(net)).data) <= 1e-13
+        got = forward(net, x).data
+        monkeypatch.setattr(layers, "weight_banks", full_banks)
+        assert _relative_gap(got, forward(net, x).data) <= 1e-13
 
-    def test_coefficient_gradients_match_full_banks(self, net_and_input):
+    def test_coefficient_gradients_match_full_banks(self, net_and_input, monkeypatch):
         net, x = net_and_input
         out, tape = forward_with_tape(net, x)
         seed_grad = np.random.default_rng(11).standard_normal(out.data.shape)
         got = chain_grads(net.layers, backward(tape, seed_grad))
-        _, full_tape = forward_with_tape(net, x, full_banks(net))
+        monkeypatch.setattr(layers, "weight_banks", full_banks)
+        _, full_tape = forward_with_tape(net, x)
         want = chain_grads(net.layers, backward(full_tape, seed_grad))
         assert list(got) == list(want)
         for key in want:
@@ -377,6 +382,49 @@ class TestPooledBank:
         monkeypatch.setattr(layers, "correlate_stack", lambda a, w: calls.append(w.shape) or correlate(a, w))
         forward(make_sweep_net(24, seed=5), synthetic_image(24, 5))
         assert calls == [(1, 5, 5, 72), (72, 9, 9, 72), (72, 9, 9, 3)]
+
+
+class TestWeightBankCache:
+    """A net builds its weight banks on first use and again after any coefficient change."""
+
+    @staticmethod
+    def _net():
+        return init_network(make_denoiser_net(4, channels=2, p=3, cutoff=1), seed=13)
+
+    def test_banks_are_kept_between_passes(self, monkeypatch):
+        net = self._net()
+        builds = count_conv_calls(monkeypatch, "weights")
+        assert weight_banks(net) is weight_banks(net)
+        forward(net, synthetic_image(10, 1))
+        forward_with_tape(net, synthetic_image(10, 2))
+        assert builds == dict.fromkeys([id(layer) for layer in net.conv_layers], 1)
+
+    def test_banks_are_read_only(self):
+        banks = weight_banks(self._net())
+        assert sorted(banks) == [0, 3, 6, 10]
+        for bank in banks.values():
+            with pytest.raises(ValueError, match="read-only"):
+                bank[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("change", ["adam", "in_place", "init_network", "assignment"])
+    def test_banks_follow_the_coefficients(self, change):
+        net = self._net()
+        before = {idx: bank.tobytes() for idx, bank in weight_banks(net).items()}
+        if change == "adam":
+            out, tape = forward_with_tape(net, synthetic_image(10, 3))
+            Adam(1e-2).apply(net, chain_grads(net.layers, backward(tape, np.ones_like(out.data))))
+        elif change == "in_place":
+            net.layers[3].coeffs *= 2
+        elif change == "init_network":
+            init_network(net, seed=14)
+        else:
+            net.layers[6].coeffs = net.layers[6].coeffs + 1.0
+        got = weight_banks(net)
+        fresh = weight_banks(NetworkSpec(net.layers))  # a new spec over the same layers builds anew
+        assert sorted(got) == sorted(fresh)
+        for idx in fresh:
+            assert got[idx].tobytes() == fresh[idx].tobytes(), idx
+        assert any(got[idx].tobytes() != before[idx] for idx in before)
 
 
 class TestLiftEquivariance:
@@ -560,13 +608,15 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="unknown layer"):
             NetworkSpec([object()])
 
-    @pytest.mark.parametrize("ci, co", [(0, 2), (2, 0), (0, 0)])
+    @pytest.mark.parametrize("ci, co", [(0, 2), (2, 0), (0, 0), (True, 2), (2, True), (2.0, 2), (2, 2.0)])
     def test_conv_needs_a_channel_each_way(self, ci, co):
+        # a bool or a float once built a net whose EQCK header load rejected
+        match = "at least 1" if type(ci) is type(co) is int else "_channels must be an integer"
         basis = FourierBasis(3, 1)
-        with pytest.raises(ValueError, match="at least 1"):
-            Lift(ci, co, 4, basis, np.zeros((co, ci, basis.size)))
-        with pytest.raises(ValueError, match="at least 1"):
-            GroupConv(ci, co, basis, np.zeros((co, ci, 4, basis.size)))
+        with pytest.raises(ValueError, match=match):
+            Lift(ci, co, 4, basis, np.zeros((int(co), int(ci), basis.size)))
+        with pytest.raises(ValueError, match=match):
+            GroupConv(ci, co, basis, np.zeros((int(co), int(ci), 4, basis.size)))
 
     def test_channel_mismatch_between_convs(self):
         with pytest.raises(ValueError, match="channels"):

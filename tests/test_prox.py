@@ -11,6 +11,7 @@ from support import (
 
 from rotprox import (
     Identity,
+    NetworkSpec,
     NeuralProx,
     PlanarImage,
     SoftThreshold,
@@ -281,6 +282,17 @@ class TestNeuralProx:
         ista_solve(y, Identity(), UnfoldingConfig(20, 0.5, NeuralProx(net)))
         assert len(prox_calls) > 1
         assert builds == dict.fromkeys([id(layer) for layer in net.conv_layers], 1)
+
+    def test_follows_its_nets_coefficients(self):
+        # the net rebuilds its banks after a coefficient change, so a prox built
+        # before the change runs the changed net
+        net = init_network(make_denoiser_net(2, channels=2, p=3, cutoff=1), seed=30)
+        p, x = NeuralProx(net), synthetic_image(12, 5)
+        before = p(x).data
+        net.layers[10].coeffs *= 2
+        after = p(x).data
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == neural_prox(x, NetworkSpec(net.layers)).data.tobytes()
 
     def test_quarter_turn_commutes_for_random_net(self):
         net = init_network(make_denoiser_net(4, channels=3), seed=9)

@@ -144,6 +144,9 @@ class TestOperators:
             BlurDownsample(np.ones((3, 5)), 2)
         with pytest.raises(ValueError, match="scale"):
             BlurDownsample(np.ones((3, 3)), 0)
+        for scale in (2.0, True):  # 2.0 once raised a TypeError
+            with pytest.raises(ValueError, match="scale must be an integer"):
+                BlurDownsample(np.ones((3, 3)), scale)
         op = BlurDownsample(np.ones((3, 3)), 3)
         with pytest.raises(ValueError, match="divide"):
             op.apply(PlanarImage(np.zeros((10, 10, 1))))
@@ -530,6 +533,9 @@ class TestUtilities:
     def test_gaussian_kernel_validation(self):
         with pytest.raises(ValueError, match="odd"):
             gaussian_kernel(4, 1.0)
+        for size in (3.0, True):
+            with pytest.raises(ValueError, match="kernel size must be an integer"):
+                gaussian_kernel(size, 1.0)
         with pytest.raises(ValueError, match="sigma"):
             gaussian_kernel(3, 0.0)
 

@@ -29,6 +29,7 @@ from rotprox import (
     train_denoiser,
     weight_banks,
 )
+from rotprox import layers
 from rotprox.layers import parameters
 from rotprox.training import backward, chain_grads
 from rotprox.synthetic import synthetic_image
@@ -88,17 +89,19 @@ class TestGradients:
         out, _ = forward_with_tape(net, x)
         np.testing.assert_array_equal(out.data, forward(net, x).data)
 
-    def test_shared_banks_and_split_chain_match(self):
-        # prebuilt banks are the ones a pass builds for itself, and backward's
-        # local gradients are tap gradients that chain_grads carries onto the
-        # coefficients
+    def test_shared_banks_and_split_chain_match(self, monkeypatch):
+        # banks prebuilt by a twin spec over the same layers are the ones a pass
+        # builds for itself, and backward's local gradients are tap gradients
+        # that chain_grads carries onto the coefficients
         net = init_network(make_denoiser_net(4, channels=2, p=3, cutoff=1), seed=50)
         x = synthetic_image(10, 3)
-        banks = weight_banks(net)
-        assert sorted(banks) == [0, 3, 6, 10]  # the denoiser's lift and three group convs
-        np.testing.assert_array_equal(forward(net, x, banks).data, forward(net, x).data)
-        out, shared = forward_with_tape(net, x, banks)
+        own_out = forward(net, x).data
         _, own = forward_with_tape(net, x)
+        banks = weight_banks(NetworkSpec(net.layers))
+        assert sorted(banks) == [0, 3, 6, 10]  # the denoiser's lift and three group convs
+        monkeypatch.setattr(layers, "weight_banks", lambda _: banks)
+        np.testing.assert_array_equal(forward(net, x).data, own_out)
+        out, shared = forward_with_tape(net, x)
         seed_grad = np.linspace(-1.0, 1.0, out.data.size).reshape(out.data.shape)
         local = backward(shared, seed_grad)
         own_local = backward(own, seed_grad)
