@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .filters import SmoothnessBounds, bounds_from_coefficients, image_bounds
-from .grids import PlanarImage, central_differences, relative_difference, rotate_image
+from .grids import PlanarImage, _check_int, _check_real, central_differences, relative_difference, rotate_image
 from .layers import NetworkSpec, forward, make_sweep_net
 from .synthetic import ring_stack
 
@@ -51,16 +51,13 @@ class BoundInputs:
         if len(self.layers) < 1:
             raise ValueError("need at least one conv layer")
         for slices, _ in self.layers:
-            if slices < 1:
-                raise ValueError(f"slice count must be >= 1, got {slices}")
-        if self.p < 1 or self.p % 2 == 0:
+            _check_int("slice count", slices, 1)
+        _check_int("filter size", self.p, 1)
+        if self.p % 2 == 0:
             raise ValueError(f"filter size must be odd and positive, got {self.p}")
-        if self.h <= 0:
-            raise ValueError(f"mesh must be > 0, got {self.h}")
-        if self.t < 1:
-            raise ValueError(f"group order must be >= 1, got {self.t}")
-        if self.side < 1:
-            raise ValueError(f"image side must be >= 1, got {self.side}")
+        _check_real("mesh", self.h, 0, strict=True)
+        _check_int("group order", self.t, 1)
+        _check_int("image side", self.side, 1)
 
     @property
     def N(self) -> int:
@@ -141,9 +138,15 @@ def _uniform_angles(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.pi * (1.0 - 2.0 * rng.random(count))
 
 
-def _check_angles(angles: int | Sequence[float]) -> None:
-    if (angles if isinstance(angles, int) else len(angles)) < 1:
+def _check_angles(angles: int | Sequence[float]) -> bool:
+    """True when `angles` is a count of draws (an integer >= 1), False when it is a
+    nonempty list of angles; anything else is a ValueError."""
+    if np.ndim(angles) == 0:
+        _check_int("angles", angles, 1)
+        return True
+    if len(angles) < 1:
         raise ValueError(f"angles must be a count >= 1 or a nonempty list of angles, got {angles!r}")
+    return False
 
 
 def measure_equivariance(
@@ -162,16 +165,12 @@ def measure_equivariance(
     """
     if len(images) == 0:
         raise ValueError("empty image set")
-    _check_angles(angles)
+    count = _check_angles(angles)
     crop = net.receptive_radius
     rng = np.random.default_rng(seed)
     errors: list[tuple[float, float]] = []
     for img in images:
-        thetas = (
-            _uniform_angles(rng, angles)
-            if isinstance(angles, int)
-            else np.asarray(angles, dtype=np.float64)
-        )
+        thetas = _uniform_angles(rng, angles) if count else np.asarray(angles, dtype=np.float64)
         base = forward(net, img)
         for theta in thetas:
             theta = float(theta)
@@ -247,10 +246,8 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind not in REGULARIZER_KINDS:
             raise ValueError(f"unknown regularizer {self.kind!r}; pick from {REGULARIZER_KINDS}")
-        if self.epsilon <= 0:
-            raise ValueError(f"smoothing epsilon must be > 0, got {self.epsilon}")
-        if self.crop < 1:
-            raise ValueError(f"crop must be >= 1, got {self.crop}")
+        _check_real("epsilon", self.epsilon, 0, strict=True)
+        _check_int("crop", self.crop, 1)
 
 
 def regularizer_value(r: RegularizerSpec, x: PlanarImage) -> float:
@@ -285,8 +282,7 @@ def regularizer_rotation_table(
     crop: int = 1,
 ) -> list[tuple[str, float, float]]:
     """(kind, angle, value) rows over uniform angles in [0, 2*pi), kind-major."""
-    if n_angles < 1:
-        raise ValueError("need at least one angle")
+    _check_int("n_angles", n_angles, 1)
     angles = [2.0 * math.pi * k / n_angles for k in range(n_angles)]
     rows = []
     for kind in REGULARIZER_KINDS:

@@ -355,20 +355,9 @@ def cmd_sr(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
-    if cfg["epochs"] < 0:
-        raise ConfigError(f"epochs must be a nonnegative integer, got {cfg['epochs']!r}")
-    try:
-        lr_ok = cfg["lr"] > 0 and math.isfinite(cfg["lr"])
-    except OverflowError:  # an integer too large for a float
-        lr_ok = False
-    if not lr_ok:
-        raise ConfigError(f"lr must be a finite real > 0, got {cfg['lr']!r}")
     root = np.random.default_rng(cfg["seed"])
     data_seed, net_seed, noise_base = (int(s) for s in root.integers(2**31, size=3))
-    clean = synthetic_stack(cfg["image_count"], cfg["image_size"], data_seed, mesh=cfg["mesh"])
-    pairs = [
-        (c, degrade(Identity(), c, cfg["sigma"], noise_base + i)) for i, c in enumerate(clean)
-    ]
+    # the net and the optimizer check their fields before the data is generated
     net = init_network(make_denoiser_net(t=cfg["t"], channels=cfg["channels"]), net_seed)
     if cfg["optimizer"] == "adam":
         opt = Adam(cfg["lr"])
@@ -376,6 +365,10 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         opt = SGD(cfg["lr"])
     else:
         raise ConfigError(f"unknown optimizer {cfg['optimizer']!r} (use adam or sgd)")
+    clean = synthetic_stack(cfg["image_count"], cfg["image_size"], data_seed, mesh=cfg["mesh"])
+    pairs = [
+        (c, degrade(Identity(), c, cfg["sigma"], noise_base + i)) for i, c in enumerate(clean)
+    ]
     try:
         trained, trace = train_denoiser(net, pairs, opt, cfg["epochs"])
     except TrainingDivergence as exc:

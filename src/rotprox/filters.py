@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import PlanarImage, _check_int, central_differences, rotated_grid
+from .grids import PlanarImage, _check_int, _check_real, central_differences, rotated_grid
 
 SUPPORT_RADIUS = 1.0
 FLAT_RADIUS = 0.5  # window is identically 1 inside this radius
@@ -68,12 +68,10 @@ class FourierBasis:
 
     def __post_init__(self):
         p = self.filter_size
-        _check_int("filter size", p)
-        if not (p >= 1 and p % 2 == 1):
+        _check_int("filter size", p, 1)
+        if p % 2 == 0:
             raise ValueError(f"filter size must be odd and positive, got {p}")
-        _check_int("cutoff", self.cutoff)
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be a nonnegative integer, got {self.cutoff}")
+        _check_int("cutoff", self.cutoff, 0)
         if self.cutoff > (p - 1) // 2:
             raise ValueError(
                 f"cutoff {self.cutoff} aliases on a {p}x{p} grid (limit {(p - 1) // 2})"
@@ -129,8 +127,7 @@ class SmoothnessBounds:
 
     def __post_init__(self):
         for name, val in (("F", self.F), ("G", self.G), ("H", self.H)):
-            if not (math.isfinite(val) and val >= 0):
-                raise ValueError(f"bound {name} must be finite and nonnegative, got {val}")
+            _check_real(f"bound {name}", val, 0)
 
 
 def per_basis_bounds(basis: FourierBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

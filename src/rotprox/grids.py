@@ -19,12 +19,18 @@ import numpy as np
 QUARTER_SNAP_TOL = 1e-12
 
 
-def _check_real(name: str, value, low: float, strict: bool = False) -> None:
-    """Reject a bool, a non-real value, NaN, and a value below `low` (or equal
-    to it when `strict`) with ValueError; config values reach here unchecked."""
+def _check_real(name: str, value, low: float | None = None, strict: bool = False) -> None:
+    """Reject a bool, a non-real value, a non-finite one (NaN, an infinity, an integer
+    too large for a float) and one below `low`, if given (or equal to it when `strict`),
+    with ValueError; config values reach here unchecked."""
     ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    if not (ok and (value > low if strict else value >= low)):
-        raise ValueError(f"{name} must be a real number {'>' if strict else '>='} {low}, got {value!r}")
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not (ok and (low is None or (value > low if strict else value >= low))):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be a finite real number{bound}, got {value!r}")
 
 
 def _check_int(name: str, value, low: int | None = None) -> None:
@@ -63,8 +69,7 @@ class PlanarImage:
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
-        if not (isinstance(self.mesh, (int, float)) and math.isfinite(self.mesh) and self.mesh > 0):
-            raise ValueError(f"mesh must be a positive real, got {self.mesh}")
+        _check_real("mesh", self.mesh, 0, strict=True)
         object.__setattr__(self, "mesh", float(self.mesh))
 
     @property
@@ -135,8 +140,7 @@ def _bilinear_rotate(data: np.ndarray, theta: float) -> np.ndarray:
 
 def rotate_image(img: PlanarImage, theta: float) -> PlanarImage:
     """Rotate counterclockwise by theta; exact index permutation when theta is a quarter turn."""
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta}")
+    _check_real("rotation angle", theta)
     h, w = img.height, img.width
     k = _quarter_multiple(theta)
     if h != w and (k is None or k % 2 != 0):

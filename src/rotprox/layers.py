@@ -406,10 +406,8 @@ class Lift(_Conv):
     in_orientations = 1
 
     def __post_init__(self):
-        t = self.group_order
-        if isinstance(t, bool) or not (isinstance(t, (int, np.integer)) and t >= 1):
-            raise ValueError(f"group order must be a positive integer, got {t}")
-        self.group_order = int(t)
+        _check_int("group order", self.group_order, 1)
+        self.group_order = int(self.group_order)
         self._check_channels()
         expected = (self.out_channels, self.in_channels, self.basis.size)
         self.coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))

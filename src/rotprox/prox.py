@@ -26,14 +26,8 @@ TV_DUAL_STEP = 0.125
 
 def _check_tv_args(w, tol, max_iter) -> None:
     _check_real("weight", w, 0)
-    try:
-        finite = math.isfinite(w) and (w == 0 or math.isfinite(TV_DUAL_STEP / float(w)))
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise ValueError(
-            f"weight must be finite and large enough for a finite dual step {TV_DUAL_STEP} / weight, got {w!r}"
-        )
+    if w != 0 and not math.isfinite(TV_DUAL_STEP / float(w)):
+        raise ValueError(f"weight must be large enough for a finite dual step {TV_DUAL_STEP} / weight, got {w!r}")
     _check_real("tol", tol, 0, strict=True)
     _check_int("max_iter", max_iter, 1)
 

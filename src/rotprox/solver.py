@@ -28,16 +28,11 @@ POWER_ITERATIONS = 50
 class Identity:
     """A = I; its own adjoint."""
 
-    scale = 1  # observation mesh / solution mesh, as on BlurDownsample
-
     def apply(self, x: PlanarImage) -> PlanarImage:
         return x
 
     def adjoint(self, y: PlanarImage) -> PlanarImage:
         return y
-
-    def domain_shape(self, y: PlanarImage) -> tuple[int, int, int]:
-        return y.data.shape
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,7 @@ class BlurDownsample:
         k = np.asarray(self.kernel, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2 == 0:
             raise ValueError(f"kernel must be square and odd-sized, got {k.shape}")
-        _check_int("scale", self.scale)
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
+        _check_int("scale", self.scale, 1)
         s, m = self.scale, k.shape[0] // 2
         r = -(-m // s)
         bank = np.zeros((s, s, 2 * r + 1, 2 * r + 1))
@@ -115,8 +108,7 @@ DegradationOp = Union[Identity, BlurDownsample]
 
 def degrade(op: DegradationOp, x: PlanarImage, noise_sigma: float, seed: int) -> PlanarImage:
     """apply(x) plus seeded Gaussian noise N(0, sigma^2)."""
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    _check_real("noise_sigma", noise_sigma, 0)
     y = op.apply(x)
     if noise_sigma == 0:
         return y
@@ -233,11 +225,10 @@ class _LastCall:
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Isotropic Gaussian taps on a size x size grid, normalized to sum 1."""
-    _check_int("kernel size", size)
-    if size < 1 or size % 2 == 0:
+    _check_int("kernel size", size, 1)
+    if size % 2 == 0:
         raise ValueError(f"kernel size must be odd and positive, got {size}")
-    if not sigma > 0:
-        raise ValueError(f"kernel sigma must be > 0, got {sigma}")
+    _check_real("kernel sigma", sigma, 0, strict=True)
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-0.5 * (r / sigma) ** 2)
     k = np.outer(g, g)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .filters import quintic_falloff
-from .grids import PlanarImage, centered_grid
+from .grids import PlanarImage, _check_int, _check_real, centered_grid
 
 # Disk taper: full strength inside INNER*R, exactly zero outside OUTER*R.
 # The band is wide so the falloff stays smooth on coarse grids; rotation
@@ -37,8 +37,7 @@ class _DiskField:
     scale: float
 
     def __post_init__(self):
-        if not 0.0 < self.domain_radius < np.inf:
-            raise ValueError(f"domain radius must be positive and finite, got {self.domain_radius}")
+        _check_real("domain radius", self.domain_radius, 0, strict=True)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The field at the points (x, y), which broadcast against each other.
@@ -174,8 +173,7 @@ def ring_stack(count: int, size: int, seed: int, mesh: float, *, orders) -> list
 
 
 def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    if count < 0:
-        raise ValueError(f"image count must be >= 0, got {count}")
+    _check_int("image count", count, 0)
     return np.random.SeedSequence(seed).spawn(count)
 
 

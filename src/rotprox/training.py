@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import NonFiniteError, PlanarImage
+from .grids import NonFiniteError, PlanarImage, _check_int, _check_real
 from .layers import NetworkSpec, _pass, forward, parameters
 
 
@@ -87,6 +87,9 @@ class SGD:
 
     lr: float
 
+    def __post_init__(self):
+        _check_real("lr", self.lr, 0, strict=True)
+
     def apply(self, net: NetworkSpec, grads: dict[tuple[int, str], np.ndarray]) -> None:
         for idx, name, arr in parameters(net):
             g = grads.get((idx, name))
@@ -98,6 +101,9 @@ class SGD:
 class Adam:
     lr: float
     state: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_real("lr", self.lr, 0, strict=True)
 
     def apply(self, net: NetworkSpec, grads: dict[tuple[int, str], np.ndarray]) -> None:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -140,6 +146,7 @@ def train_denoiser(
     trace [initial, after epoch 1, ..., after epoch `epochs`]. The run is fully
     deterministic: full batch, fixed accumulation order.
     """
+    _check_int("epochs", epochs, 0)
     if not pairs:
         raise ValueError("empty training set")
     for clean, noisy in pairs:

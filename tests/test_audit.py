@@ -102,8 +102,10 @@ class TestBoundFormula:
         ones = SmoothnessBounds(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="slice"):
             BoundInputs(((0, ones),), ones, 3, 0.1, 1, 8)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="bound F must be a finite real number >= 0"):
             SmoothnessBounds(-1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="bound F must be a finite real number >= 0"):
+            SmoothnessBounds(True, 1, 1)
         good = ((1, ones),)
         with pytest.raises(ValueError, match="at least one"):
             BoundInputs((), ones, 3, 0.1, 1, 8)
@@ -115,6 +117,11 @@ class TestBoundFormula:
             BoundInputs(good, ones, 3, 0.1, 0, 8)
         with pytest.raises(ValueError, match="side"):
             BoundInputs(good, ones, 3, 0.1, 1, 0)
+        with pytest.raises(ValueError, match="mesh"):
+            BoundInputs(good, ones, 3, math.nan, 1, 8)
+        # a bool slice count and filter size, a fractional order and side once gave a bound
+        with pytest.raises(ValueError, match="slice count must be an integer"):
+            BoundInputs(layers=((True, ones),), image=ones, p=True, h=0.1, t=2.5, side=8.5)
 
 
 class TestMeasureEquivariance:
@@ -180,7 +187,9 @@ class TestMeasureEquivariance:
         with pytest.raises(ValueError, match="empty"):
             measure_equivariance(net, [], angles=[np.pi / 2])
 
-    @pytest.mark.parametrize("angles", [0, -1, []], ids=["zero", "negative", "empty-list"])
+    @pytest.mark.parametrize(
+        "angles", [0, -1, [], True, 2.5], ids=["zero", "negative", "empty-list", "bool", "fraction"]
+    )
     def test_empty_angle_set_rejected_before_any_forward(self, monkeypatch, angles):
         net = make_audit_net(4, seed=81)
         convs = count_conv_calls(monkeypatch, "forward")
@@ -260,14 +269,17 @@ class TestRegularizers:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown regularizer"):
             RegularizerSpec("TV")
-        with pytest.raises(ValueError, match="epsilon"):
-            RegularizerSpec("LapL0", epsilon=0.0)
-        with pytest.raises(ValueError, match="crop"):
-            RegularizerSpec("L1", crop=0)
+        for epsilon in (0.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                RegularizerSpec("LapL0", epsilon=epsilon)
+        for crop in (0, True, 1.5):
+            with pytest.raises(ValueError, match="crop"):
+                RegularizerSpec("L1", crop=crop)
         with pytest.raises(ValueError, match="crop"):
             regularizer_value(RegularizerSpec("L1", crop=4), PlanarImage(np.zeros((8, 8, 1))))
-        with pytest.raises(ValueError, match="at least one angle"):
-            regularizer_rotation_table(synthetic_image(16, 0), n_angles=0)
+        for n_angles in (0, True, 2.5):
+            with pytest.raises(ValueError, match="n_angles must be an integer >= 1"):
+                regularizer_rotation_table(synthetic_image(16, 0), n_angles=n_angles)
 
     def test_table_layout(self):
         x = synthetic_image(16, 2, mesh=1 / 3)

@@ -107,7 +107,7 @@ class TestConfigErrors:
     def test_train_group_order_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"t": 0})
         err = self.check(["train", "--config", cfg, "--out", str(tmp_path)], capsys)
-        assert err == "error: group order must be a positive integer, got 0\n"
+        assert err == "error: group order must be an integer >= 1, got 0\n"
 
     def test_unknown_prox_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"steps": 1, "prox": {"kind": "median"}})
@@ -128,6 +128,15 @@ class TestConfigErrors:
     def test_negative_epochs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(TINY_TRAIN, epochs=-1))
         self.check(["train", "--config", cfg, "--out", str(tmp_path)], capsys, "epochs")
+
+    @pytest.mark.parametrize("field, value", [("t", 0), ("channels", 0), ("lr", 0)])
+    def test_bad_net_or_optimizer_field_rejected_before_the_data(self, tmp_path, capsys, monkeypatch, field, value):
+        def no_data(*args, **kwargs):
+            raise AssertionError("training data generated before the config was checked")
+
+        monkeypatch.setattr(cli, "synthetic_stack", no_data)
+        cfg = write_config(tmp_path, {field: value})
+        self.check(["train", "--config", cfg, "--out", str(tmp_path)], capsys)
 
     def test_fractional_epochs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(TINY_TRAIN, epochs=2.5))
@@ -213,7 +222,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command", ["audit-equivariance", "train"])
     def test_negative_image_count(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, {"image_count": -1})
-        self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, "image count must be >= 0, got -1")
+        self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys, "image count must be an integer >= 0, got -1")
 
     @pytest.mark.parametrize(
         "lr", ["-1.0", "0", "0.0", "1e400", "-Infinity", "NaN", pytest.param("1" + "0" * 400, id="1e400-as-int")]

@@ -219,6 +219,11 @@ class TestContainers:
             PlanarImage(np.ones((4, 4, 1)), mesh=0.0)
         with pytest.raises(ValueError):
             PlanarImage(np.ones((4, 4, 1)), mesh=-1.0)
+        with pytest.raises(ValueError, match="mesh"):
+            PlanarImage(np.ones((4, 4, 1)), mesh=True)
+        # a numpy real is a valid mesh, stored as a Python float
+        img = PlanarImage(np.ones((4, 4, 1)), mesh=np.float32(0.5))
+        assert type(img.mesh) is float and img.mesh == 0.5
 
     def test_planar_image_data_is_frozen(self):
         img = PlanarImage(np.ones((4, 4, 1)))

@@ -158,8 +158,9 @@ class TestOperators:
         c = degrade(Identity(), x, 0.1, seed=8)
         np.testing.assert_array_equal(a.data, b.data)
         assert np.any(a.data != c.data)
-        with pytest.raises(ValueError, match=">= 0"):
-            degrade(Identity(), x, -0.1, seed=0)
+        for sigma in (-0.1, True):
+            with pytest.raises(ValueError, match="noise_sigma must be a finite real number >= 0"):
+                degrade(Identity(), x, sigma, seed=0)
         assert degrade(Identity(), x, 0.0, seed=0) is x
 
 
@@ -536,8 +537,9 @@ class TestUtilities:
         for size in (3.0, True):
             with pytest.raises(ValueError, match="kernel size must be an integer"):
                 gaussian_kernel(size, 1.0)
-        with pytest.raises(ValueError, match="sigma"):
-            gaussian_kernel(3, 0.0)
+        for sigma in (0.0, True, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                gaussian_kernel(3, sigma)
 
     def test_psnr_values(self):
         ref = PlanarImage(np.zeros((4, 4, 1)))

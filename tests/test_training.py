@@ -256,3 +256,6 @@ class TestTrainDenoiser:
         rgbish = PlanarImage(np.zeros((8, 8, 2)))
         with pytest.raises(ValueError, match="channels"):
             train_denoiser(net, [(rgbish, rgbish)], SGD(0.1), 1)
+        for epochs in (-3, True, 1.5):  # -3 once returned a one-entry trace
+            with pytest.raises(ValueError, match="epochs must be an integer >= 0"):
+                train_denoiser(net, [(clean, clean)], SGD(0.1), epochs)
