@@ -765,6 +765,7 @@ def make_audit_net(
     seed: int = 0,
 ) -> NetworkSpec:
     """Lift -> (Bias, ReLU, GroupConv) x (n_conv - 1) -> OrientationPool, random weights."""
+    _check_int("channels", channels, 1)
     if n_conv < 1:
         raise ValueError("need at least one convolution layer")
     basis = FourierBasis(p, cutoff)
@@ -795,12 +796,13 @@ def make_sweep_net(
     which removes most net-to-net jitter from the comparison. Requires t to
     divide 24; any other t falls back to independent draws.
     """
+    _check_int("channels", channels, 1)
     b_lift = FourierBasis(5, 2)
     b_deep = FourierBasis(9, 4)
     c = channels
     rng = np.random.default_rng(seed)
     lift_coeffs = init_coefficients(rng, (c, 1, b_lift.size), 1, 5)
-    lift = Lift(1, c, t, b_lift, lift_coeffs)  # rejects channels < 1 before the t * c fan-in below
+    lift = Lift(1, c, t, b_lift, lift_coeffs)  # rejects t < 1 before the 24 % t below
     if 24 % t == 0:
         gc_shape = (c, c, 24, b_deep.size)
         gc1 = init_coefficients(rng, gc_shape, t * c, 9)[:, :, :: 24 // t, :]
@@ -832,6 +834,7 @@ def make_denoiser_net(
     zero-init so the NeuralProx wrapper (identity + correction) starts as the
     identity map. ``init_network`` redraws that conv too, so a net passed through
     it (as by ``rotprox train``) does not start as the identity."""
+    _check_int("channels", channels, 1)
     basis = FourierBasis(p, cutoff)
     nb = basis.size
     c = channels

@@ -8,6 +8,7 @@ step's bit for bit: for A = I at eta = 1 every prox input is y, so a denoise
 solve evaluates its prox once and stops at step 2. Degradation operators
 expose exact apply/adjoint pairs; blur-downsample keeps the upper-left pixel of each s x s block, and both
 directions run on the coarse grid as one correlation with a polyphase bank.
+Each operator computes L = ||A||^2 once per observation shape and keeps it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,12 @@ class Identity:
     def adjoint(self, y: PlanarImage) -> PlanarImage:
         return y
 
+    def lipschitz(self, shape: tuple[int, int, int]) -> float:
+        """||I||^2 = 1, exactly, for every shape."""
+        return 1.0
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BlurDownsample:
     """A = downsample_s o correlate_K with zero padding (SAME size blur).
 
@@ -49,14 +54,17 @@ class BlurDownsample:
     q = 2 ceil(m / s) + 1, holding tap (u, v) at phase (a, b), offset (d, e).
     Its adjoint correlates y with the flipped bank, transposed to
     (1, q, q, s*s), and puts each output channel back on its phase
-    (depth-to-space). Both banks are built at construction.
+    (depth-to-space). Both banks are built at construction from a read-only
+    float64 copy of the kernel, and ``lipschitz`` keeps one estimate per
+    observation shape; an operator owns this derived state, so two operators
+    compare equal only if they are the same object.
     """
 
     kernel: np.ndarray
     scale: int
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=np.float64)
+        k = np.array(self.kernel, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2 == 0:
             raise ValueError(f"kernel must be square and odd-sized, got {k.shape}")
         _check_int("scale", self.scale, 1)
@@ -66,9 +74,11 @@ class BlurDownsample:
         d, a = np.divmod(np.arange(-m, m + 1), s)
         bank[a[:, None], a[None, :], d[:, None] + r, d[None, :] + r] = k
         bank = bank.reshape(s * s, 2 * r + 1, 2 * r + 1, 1)
+        k.flags.writeable = False
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "_bank", bank)
         object.__setattr__(self, "_adjoint_bank", bank[:, ::-1, ::-1].transpose(3, 1, 2, 0).copy())
+        object.__setattr__(self, "_lipschitz", {})
 
     def apply(self, x: PlanarImage) -> PlanarImage:
         h, w, c = x.data.shape
@@ -98,9 +108,26 @@ class BlurDownsample:
                     out[a::s, b::s, ch] = phases[:, :, a * s + b]
         return PlanarImage(out, mesh=y.mesh / s)
 
-    def domain_shape(self, y: PlanarImage) -> tuple[int, int, int]:
-        h, w, c = y.data.shape
-        return (h * self.scale, w * self.scale, c)
+    def lipschitz(self, shape: tuple[int, int, int]) -> float:
+        """||A||^2 for observations of `shape` (H, W, C): the largest eigenvalue
+        of A^T A by 50 power-iteration steps from a seed-0 Gaussian start on the
+        (s H, s W, C) domain, run on the first call for a shape and then kept.
+        apply and adjoint only carry the mesh, so L depends on the shape alone."""
+        key = tuple(shape)
+        lam = self._lipschitz.get(key)
+        if lam is None:
+            h, w, c = key
+            v = np.random.default_rng(0).standard_normal((h * self.scale, w * self.scale, c))
+            v /= np.linalg.norm(v)
+            lam = 0.0
+            for _ in range(POWER_ITERATIONS):
+                av = self.adjoint(self.apply(PlanarImage(v))).data
+                lam = float(np.linalg.norm(av))
+                if lam == 0.0:
+                    break
+                v = av / lam
+            self._lipschitz[key] = lam
+        return lam
 
 
 DegradationOp = Union[Identity, BlurDownsample]
@@ -118,22 +145,10 @@ def degrade(op: DegradationOp, x: PlanarImage, noise_sigma: float, seed: int) ->
 
 
 def estimate_lipschitz(op: DegradationOp, y: PlanarImage) -> float:
-    """Largest eigenvalue of A^T A (= ||A||^2): exactly 1 for the identity,
-    otherwise by 50 power-iteration steps from a seed-0 Gaussian start."""
-    if isinstance(op, Identity):
-        return 1.0
-    v = np.random.default_rng(0).standard_normal(op.domain_shape(y))
-    v /= np.linalg.norm(v)
-    mesh = y.mesh * op.scale
-    lam = 0.0
-    for _ in range(POWER_ITERATIONS):
-        img = PlanarImage(v, mesh=mesh)
-        av = op.adjoint(op.apply(img)).data
-        lam = float(np.linalg.norm(av))
-        if lam == 0.0:
-            return 0.0
-        v = av / lam
-    return lam
+    """L = ||A||^2 (the largest eigenvalue of A^T A) for observations shaped
+    like y: exactly 1 for the identity, otherwise the operator's power-iteration
+    estimate, computed once per operator and shape."""
+    return op.lipschitz(y.data.shape)
 
 
 @dataclass(frozen=True)

@@ -167,9 +167,17 @@ def ring_stack(count: int, size: int, seed: int, mesh: float, *, orders) -> list
     if m.ndim != 1 or m.size == 0 or m.dtype.kind not in "iu" or m.min() < 1:
         raise ValueError(f"orders must be a nonempty sequence of integer harmonic orders >= 1, got {orders!r}")
     orders = m.astype(np.int64)
+    _check_image_size(size)
     radius = (size / 2.0) * mesh
     seeds = _child_seeds(seed, count)
     return [sample_field(ring_field(s, radius, orders), size, size, mesh) for s in seeds]
+
+
+def _check_image_size(size: int) -> None:
+    """An integer side that a float can hold; one <= 0 is an empty field domain,
+    which the field itself refuses."""
+    _check_int("image_size", size)
+    _check_real("image_size", size)
 
 
 def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -186,6 +194,7 @@ def sample_field(field, height: int, width: int, mesh: float) -> PlanarImage:
 
 def synthetic_image(size: int, seed: int, mesh: float = 1.0) -> PlanarImage:
     """Seeded size x size single-channel test image."""
+    _check_image_size(size)
     field = synthetic_field(seed, size * mesh / 2.0)
     return sample_field(field, size, size, mesh)
 

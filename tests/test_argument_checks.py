@@ -28,7 +28,10 @@ from rotprox import (
     gaussian_kernel,
     make_audit_net,
     make_denoiser_net,
+    make_sweep_net,
+    ring_stack,
     rotate_image,
+    synthetic_image,
     synthetic_stack,
     train_denoiser,
     tv_prox,
@@ -61,6 +64,11 @@ INTEGER_ARGUMENTS = [
     ("BlurDownsample.scale", "scale", lambda v: BlurDownsample(np.ones((3, 3)), v)),
     ("gaussian_kernel.size", "kernel size", lambda v: gaussian_kernel(v, 1.0)),
     ("synthetic_stack.count", "image count", lambda v: synthetic_stack(v, 8, 0)),
+    ("synthetic_image.size", "image_size", lambda v: synthetic_image(v, 0)),
+    ("ring_stack.size", "image_size", lambda v: ring_stack(1, v, 0, 1.0, orders=[1])),
+    ("make_denoiser_net.channels", "channels", lambda v: make_denoiser_net(channels=v)),
+    ("make_sweep_net.channels", "channels", lambda v: make_sweep_net(4, channels=v)),
+    ("make_audit_net.channels", "channels", lambda v: make_audit_net(4, channels=v)),
     (
         "measure_equivariance.angles",
         "angles",

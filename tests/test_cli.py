@@ -219,6 +219,20 @@ class TestConfigErrors:
         assert "Warning" not in err
         assert not caught, [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize("command", ["audit-equivariance", "audit-regularizers", "denoise", "sr", "train"])
+    def test_image_size_beyond_float_range(self, tmp_path, capsys, command):
+        # JSON text, not json.dumps: a 401-digit integer, which no float holds
+        path = tmp_path / "config.json"
+        path.write_text('{"image_size": 1' + "0" * 400 + "}")
+        self.check([command, "--config", str(path), "--out", str(tmp_path)], capsys,
+                   "image_size must be a finite real number")
+
+    @pytest.mark.parametrize("command", ["audit-equivariance", "train"])
+    def test_negative_channels_named(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"channels": -1})
+        self.check([command, "--config", cfg, "--out", str(tmp_path)], capsys,
+                   "channels must be an integer >= 1, got -1")
+
     @pytest.mark.parametrize("command", ["audit-equivariance", "train"])
     def test_negative_image_count(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, {"image_count": -1})

@@ -135,7 +135,7 @@ class TestOperators:
         coarse = op.apply(x)
         assert coarse.mesh == 0.5
         assert op.adjoint(coarse).mesh == 0.25
-        assert op.domain_shape(coarse) == (8, 8, 1)
+        assert op.adjoint(coarse).data.shape == (8, 8, 1)
 
     def test_kernel_and_scale_validation(self):
         with pytest.raises(ValueError, match="odd"):
@@ -150,6 +150,27 @@ class TestOperators:
         op = BlurDownsample(np.ones((3, 3)), 3)
         with pytest.raises(ValueError, match="divide"):
             op.apply(PlanarImage(np.zeros((10, 10, 1))))
+
+    def test_operator_owns_a_read_only_kernel_copy(self):
+        # the banks (and the kept L) are built from the kernel at construction,
+        # so a later write to the caller's array must not reach the operator
+        k = gaussian_kernel(5, 1.0)
+        op = BlurDownsample(k, 2)
+        x = PlanarImage(np.random.default_rng(7).standard_normal((8, 8, 1)))
+        before = op.apply(x).data.copy()
+        assert op.kernel is not k and op.kernel.dtype == np.float64
+        assert not op.kernel.flags.writeable
+        k[2, 2] = 5.0
+        assert op.kernel[2, 2] != 5.0
+        np.testing.assert_array_equal(op.apply(x).data, before)
+        assert BlurDownsample(np.ones((3, 3), dtype=np.int64), 1).kernel.dtype == np.float64
+
+    def test_operators_compare_by_identity(self):
+        k = gaussian_kernel(5, 1.0)
+        op = BlurDownsample(k, 2)
+        assert op == op
+        assert op != BlurDownsample(k, 2)
+        assert {op: 1}[op] == 1 and hash(op) == hash(op)
 
     def test_degrade_seeded(self):
         x = synthetic_image(8, 15)
@@ -183,6 +204,57 @@ class TestLipschitz:
         sigma_sq = np.linalg.svd(np.array(cols).T, compute_uv=False).max() ** 2
         y = op.apply(PlanarImage(np.zeros((8, 8, 1))))
         assert abs(estimate_lipschitz(op, y) - sigma_sq) <= 1e-5 * sigma_sq
+
+    def test_default_sr_estimate_pinned(self):
+        # the float the 50-step power iteration gave before the estimate was kept
+        op = _default_sr_op()
+        y = PlanarImage(np.zeros((32, 32, 1)), mesh=2.0)
+        assert estimate_lipschitz(op, y).hex() == "0x1.f9e54bacca168p-3"
+        assert estimate_lipschitz(op, PlanarImage(y.data, mesh=0.37)).hex() == "0x1.f9e54bacca168p-3"
+
+    def test_second_solve_on_one_operator_skips_the_estimate(self, monkeypatch):
+        # a default sr solve is 50 power-iteration applies and 200 step applies;
+        # the second solve on the same operator makes only the step applies
+        calls = []
+        apply = BlurDownsample.apply
+
+        def counted(self, x):
+            calls.append(1)
+            return apply(self, x)
+
+        monkeypatch.setattr(BlurDownsample, "apply", counted)
+        op = _default_sr_op()
+        y, cfg = _default_sr_problem(op)
+        counts, outputs = [], []
+        for _ in range(2):
+            calls.clear()
+            outputs.append(ista_solve(y, op, cfg)[0])
+            counts.append(len(calls))
+        assert counts == [250, 200]
+        for x in outputs:
+            fresh = _default_sr_op()
+            assert x.data.tobytes() == ista_solve(y, fresh, cfg)[0].data.tobytes()
+
+    def test_one_estimate_per_observation_shape(self):
+        op = BlurDownsample(gaussian_kernel(5, 1.0), 2)
+        shapes = [(8, 8, 1), (6, 10, 2)]
+        got = [op.lipschitz(shape) for shape in shapes]
+        assert got[0] != got[1]
+        for shape, lam in zip(shapes, got):
+            fresh = BlurDownsample(gaussian_kernel(5, 1.0), 2)
+            assert lam == fresh.lipschitz(shape) == estimate_lipschitz(op, PlanarImage(np.zeros(shape)))
+
+
+def _default_sr_op() -> BlurDownsample:
+    kernel = SR_DEFAULTS["kernel"]
+    return BlurDownsample(gaussian_kernel(kernel["size"], kernel["sigma"]), SR_DEFAULTS["scale"])
+
+
+def _default_sr_problem(op: BlurDownsample):
+    """`rotprox sr`'s default observation and solver config, for the operator `op`."""
+    d = SR_DEFAULTS
+    y = degrade(op, synthetic_image(d["image_size"], d["seed"], mesh=d["mesh"]), d["sigma"], d["seed"])
+    return y, UnfoldingConfig(d["steps"], d["step_size"], SoftThreshold(PROX_DEFAULTS["weight"]))
 
 
 class TestIstaSolve:
@@ -268,8 +340,7 @@ class TestIstaSolve:
         for name in ("apply", "adjoint"):
             monkeypatch.setattr(BlurDownsample, name, counted(name, getattr(BlurDownsample, name)))
         monkeypatch.setattr(solver, "correlate_stack", counted("correlate_stack", solver.correlate_stack))
-        kernel = SR_DEFAULTS["kernel"]
-        op = BlurDownsample(gaussian_kernel(kernel["size"], kernel["sigma"]), SR_DEFAULTS["scale"])
+        op = _default_sr_op()
         n = SR_DEFAULTS["image_size"]
         x = PlanarImage(np.random.default_rng(0).standard_normal((n, n, 1)))
         aty = op.adjoint(op.apply(x))
@@ -332,9 +403,8 @@ def _assert_matches_plain_loop(y, op, prox, step_size, steps, reference=None):
 
 class _ZeroOp:
     """A = 0 with a pass-through adjoint (not A's true adjoint): A^T A x is +0.0
-    and A^T y is y itself, signed zeros included."""
-
-    scale = 1
+    and A^T y is y itself, signed zeros included; L is 0, as power iteration
+    finds for it."""
 
     def apply(self, x: PlanarImage) -> PlanarImage:
         return PlanarImage(np.zeros(x.data.shape), mesh=x.mesh)
@@ -342,8 +412,8 @@ class _ZeroOp:
     def adjoint(self, y: PlanarImage) -> PlanarImage:
         return y
 
-    def domain_shape(self, y: PlanarImage) -> tuple[int, int, int]:
-        return y.data.shape
+    def lipschitz(self, shape) -> float:
+        return 0.0
 
 
 class _CycleProx:

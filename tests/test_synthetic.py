@@ -86,6 +86,14 @@ def test_domain_radius_must_be_positive_and_finite(value):
             ring_stack(1, 8, 0, value, orders=SWEEP_RING_ORDERS)  # radius 4 * mesh
 
 
+def test_image_size_beyond_float_range_named():
+    # rejected before `size * mesh` would raise OverflowError
+    with pytest.raises(ValueError, match="^image_size must be a finite real number"):
+        synthetic_image(10**400, 0)
+    with pytest.raises(ValueError, match="^image_size must be a finite real number"):
+        ring_stack(1, 10**400, 0, 1.0, orders=SWEEP_RING_ORDERS)
+
+
 RADIUS = 16.0
 FIELDS = {
     "gabor": lambda: synthetic_field(3, RADIUS),
