@@ -118,19 +118,26 @@ def bound_inputs_for(net: NetworkSpec, images: Sequence[PlanarImage]) -> BoundIn
 
 @dataclass(frozen=True)
 class EquivarianceReport:
-    """Per-angle errors plus the bound they are checked against (when computed)."""
+    """Per-angle errors plus the bound they are checked against (when computed);
+    the mean, the max and the verdict are read off the errors."""
 
     errors: tuple[tuple[float, float], ...]  # (theta, relative error)
-    mean_error: float
     bound: float | None
-    bound_satisfied: bool | None
     t: int
     p: int
     N: int
 
     @property
+    def mean_error(self) -> float:
+        return float(np.mean([e for _, e in self.errors]))
+
+    @property
     def max_error(self) -> float:
         return max(e for _, e in self.errors)
+
+    @property
+    def bound_satisfied(self) -> bool | None:
+        return None if self.bound is None else all(e <= self.bound for _, e in self.errors)
 
 
 def _uniform_angles(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -140,12 +147,14 @@ def _uniform_angles(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _check_angles(angles: int | Sequence[float]) -> bool:
     """True when `angles` is a count of draws (an integer >= 1), False when it is a
-    nonempty list of angles; anything else is a ValueError."""
+    nonempty list of finite real angles; anything else is a ValueError."""
     if np.ndim(angles) == 0:
         _check_int("angles", angles, 1)
         return True
     if len(angles) < 1:
         raise ValueError(f"angles must be a count >= 1 or a nonempty list of angles, got {angles!r}")
+    for a in angles:
+        _check_real("angles", a)
     return False
 
 
@@ -176,18 +185,10 @@ def measure_equivariance(
             theta = float(theta)
             lhs = forward(net, rotate_image(img, theta))
             errors.append((theta, relative_difference(lhs, rotate_image(base, theta), crop=crop)))
-    mean_error = float(np.mean([e for _, e in errors]))
-    bound = None
-    satisfied = None
-    if bound_inputs is not None:
-        bound = theorem1_bound(bound_inputs)[0]
-        satisfied = all(e <= bound for _, e in errors)
     convs = net.conv_layers
     return EquivarianceReport(
         errors=tuple(errors),
-        mean_error=mean_error,
-        bound=bound,
-        bound_satisfied=satisfied,
+        bound=None if bound_inputs is None else theorem1_bound(bound_inputs)[0],
         t=net.group_order,
         p=max(l.basis.filter_size for l in convs),
         N=len(convs),
@@ -213,6 +214,10 @@ def order_sweep(
     shared across t (see make_sweep_net), so the comparison is paired: differences
     reflect orientation quantization, not sampling jitter.
     """
+    if len(t_list) < 1:
+        raise ValueError(f"t_list must be a nonempty list of group orders, got {t_list!r}")
+    for t in t_list:
+        _check_int("t_list entry", t, 1)
     _check_angles(angles)
     nets = [make_sweep_net(t, channels=channels, seed=net_seed) for t in t_list]
     ring = max(net.receptive_radius for net in nets)

@@ -234,20 +234,12 @@ def _write_trace(path: Path, trace) -> None:
 
 
 def cmd_audit_equivariance(cfg: dict, out_dir: Path) -> int:
-    t_list = cfg["t_list"]
-    if not t_list or any(type(t) is not int or t < 1 for t in t_list):
-        raise ConfigError(f"t_list must be a nonempty list of integer group orders >= 1, got {t_list!r}")
-    angles = cfg["angles"]
-    if not isinstance(angles, int):
-        if any(type(a) not in (int, float) for a in angles):
-            raise ConfigError(f"angles must be a count or a list of numbers, got {angles!r}")
-        angles = [float(a) for a in angles]
     reports = order_sweep(
-        t_list=t_list,
+        t_list=cfg["t_list"],
         image_count=cfg["image_count"],
         image_size=cfg["image_size"],
         mesh=cfg["mesh"],
-        angles=angles,
+        angles=cfg["angles"],
         net_seed=cfg["net_seed"],
         image_seed=cfg["image_seed"],
         angle_seed=cfg["seed"],

@@ -49,7 +49,8 @@ Inside a pass, values are bare float64 arrays: (H, W, C) for a planar map and
 ``PlanarImage``: it checks the input's channel count, checks every layer output
 for non-finite entries, and wraps the final output.
 
-Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``.
+Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``;
+their channel counts are the shape of ``coeffs``.
 A weight bank is a function of the coefficients alone, so a net builds its
 banks on first use and again after any coefficient change (``weight_banks``);
 every pass takes them from there. A bank is the conv's (n*Cin, p, p, t*Cout)
@@ -59,6 +60,7 @@ the (n*Cin, p, p, Cout) mean of its t output-orientation blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +262,7 @@ def _header_ints(spec: dict, *keys: str) -> list[int]:
 
 
 def _take(payload: np.ndarray, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     if payload.size - offset < n:
         raise ValueError("checkpoint payload truncated")
     return payload[offset : offset + n].reshape(shape).copy(), offset + n
@@ -301,6 +303,23 @@ class _Conv(Layer):
     Coefficients are viewed as (Co, Ci, n, nb); output orientation o_out reads input
     orientation o_in through offset (o_in - o_out) mod n, sampled at o_out's angle.
     """
+
+    def __post_init__(self):
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
+        shape, axes = self.coeffs.shape, self.coeff_axes
+        if len(shape) != len(axes) or shape[-1] != self.basis.size or 0 in shape:
+            raise ValueError(
+                f"{self.kind} coeffs shape {shape}: need ({', '.join(axes)}) axes, "
+                f"each >= 1, the last of basis size {self.basis.size}"
+            )
+
+    @property
+    def out_channels(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def in_channels(self) -> int:
+        return self.coeffs.shape[1]
 
     @property
     def fan_in(self) -> int:
@@ -375,16 +394,6 @@ class _Conv(Layer):
             "cutoff": self.basis.cutoff,
         }
 
-    def _check_channels(self) -> None:
-        _check_int("in_channels", self.in_channels)
-        _check_int("out_channels", self.out_channels)
-        self.in_channels, self.out_channels = int(self.in_channels), int(self.out_channels)
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError(
-                f"{self.kind} needs at least 1 input and 1 output channel, "
-                f"got {self.in_channels} -> {self.out_channels}"
-            )
-
     @staticmethod
     def _header_fields(spec: dict) -> tuple[int, int, int, FourierBasis]:
         keys = ("in_channels", "out_channels", "group_order", "filter_size", "cutoff")
@@ -392,27 +401,22 @@ class _Conv(Layer):
         return ci, co, t, FourierBasis(p, cutoff)
 
 
-@dataclass
+@dataclass(eq=False)
 class Lift(_Conv):
     """Planar -> group feature map; orientation slice o uses filters rotated by 2*pi*o/t."""
 
-    in_channels: int
-    out_channels: int
     group_order: int
     basis: FourierBasis
     coeffs: np.ndarray  # (out, in, basis size)
 
     kind = "lift"
+    coeff_axes = ("out", "in", "basis")
     in_orientations = 1
 
     def __post_init__(self):
         _check_int("group order", self.group_order, 1)
         self.group_order = int(self.group_order)
-        self._check_channels()
-        expected = (self.out_channels, self.in_channels, self.basis.size)
-        self.coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
-        if self.coeffs.shape != expected:
-            raise ValueError(f"lift coeffs shape {self.coeffs.shape} != {expected}")
+        super().__post_init__()
 
     def check(self, states, t, last):
         kind, c = states[-1]
@@ -429,10 +433,10 @@ class Lift(_Conv):
     def from_header(cls, spec, payload, offset):
         ci, co, t, basis = cls._header_fields(spec)
         coeffs, offset = _take(payload, offset, (co, ci, basis.size))
-        return cls(ci, co, t, basis, coeffs), offset
+        return cls(t, basis, coeffs), offset
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupConv(_Conv):
     """Group -> group feature map via cyclic group correlation.
 
@@ -441,23 +445,11 @@ class GroupConv(_Conv):
     the output orientation's angle.
     """
 
-    in_channels: int
-    out_channels: int
     basis: FourierBasis
     coeffs: np.ndarray  # (out, in, t, basis size)
 
     kind = "group_conv"
-
-    def __post_init__(self):
-        self._check_channels()
-        self.coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
-        if self.coeffs.ndim != 4 or self.coeffs.shape[:2] != (self.out_channels, self.in_channels):
-            raise ValueError(
-                f"group conv coeffs shape {self.coeffs.shape} inconsistent with "
-                f"({self.out_channels}, {self.in_channels}, t, {self.basis.size})"
-            )
-        if self.coeffs.shape[3] != self.basis.size:
-            raise ValueError(f"coeff basis dim {self.coeffs.shape[3]} != basis size {self.basis.size}")
+    coeff_axes = ("out", "in", "t", "basis")
 
     @property
     def group_order(self) -> int:
@@ -484,10 +476,10 @@ class GroupConv(_Conv):
     def from_header(cls, spec, payload, offset):
         ci, co, t, basis = cls._header_fields(spec)
         coeffs, offset = _take(payload, offset, (co, ci, t, basis.size))
-        return cls(ci, co, basis, coeffs), offset
+        return cls(basis, coeffs), offset
 
 
-@dataclass
+@dataclass(eq=False)
 class Bias(Layer):
     """One scalar per base channel, shared across the orientation fiber."""
 
@@ -539,7 +531,7 @@ class Bias(Layer):
         return cls(values), offset
 
 
-@dataclass
+@dataclass(eq=False)
 class ReLU(Layer):
     kind = "relu"
 
@@ -558,7 +550,7 @@ class ReLU(Layer):
         return g * saved
 
 
-@dataclass
+@dataclass(eq=False)
 class ResidualAdd(Layer):
     """Adds the output of earlier layer `skip`."""
 
@@ -593,7 +585,7 @@ class ResidualAdd(Layer):
         return cls(*_header_ints(spec, "skip")), offset
 
 
-@dataclass
+@dataclass(eq=False)
 class OrientationPool(Layer):
     """Mean over the orientation axis; group feature map -> planar image."""
 
@@ -621,7 +613,7 @@ class OrientationPool(Layer):
 LAYER_KINDS = {cls.kind: cls for cls in (Lift, GroupConv, Bias, ReLU, ResidualAdd, OrientationPool)}
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkSpec:
     """Validated layer chain from images to images; checked here, not at forward time."""
 
@@ -766,15 +758,14 @@ def make_audit_net(
 ) -> NetworkSpec:
     """Lift -> (Bias, ReLU, GroupConv) x (n_conv - 1) -> OrientationPool, random weights."""
     _check_int("channels", channels, 1)
-    if n_conv < 1:
-        raise ValueError("need at least one convolution layer")
+    _check_int("n_conv", n_conv, 1)
     basis = FourierBasis(p, cutoff)
     nb = basis.size
-    layers: list = [Lift(1, channels, t, basis, np.zeros((channels, 1, nb)))]
+    layers: list = [Lift(t, basis, np.zeros((channels, 1, nb)))]
     for _ in range(n_conv - 1):
         layers.append(Bias(np.zeros(channels)))
         layers.append(ReLU())
-        layers.append(GroupConv(channels, channels, basis, np.zeros((channels, channels, t, nb))))
+        layers.append(GroupConv(basis, np.zeros((channels, channels, t, nb))))
     layers.append(OrientationPool())
     return init_network(NetworkSpec(layers), seed)
 
@@ -802,7 +793,7 @@ def make_sweep_net(
     c = channels
     rng = np.random.default_rng(seed)
     lift_coeffs = init_coefficients(rng, (c, 1, b_lift.size), 1, 5)
-    lift = Lift(1, c, t, b_lift, lift_coeffs)  # rejects t < 1 before the 24 % t below
+    lift = Lift(t, b_lift, lift_coeffs)  # rejects t < 1 before the 24 % t below
     if 24 % t == 0:
         gc_shape = (c, c, 24, b_deep.size)
         gc1 = init_coefficients(rng, gc_shape, t * c, 9)[:, :, :: 24 // t, :]
@@ -814,10 +805,10 @@ def make_sweep_net(
         lift,
         Bias(np.zeros(c)),
         ReLU(),
-        GroupConv(c, c, b_deep, gc1),
+        GroupConv(b_deep, gc1),
         Bias(np.zeros(c)),
         ReLU(),
-        GroupConv(c, c, b_deep, gc2),
+        GroupConv(b_deep, gc2),
         OrientationPool(),
     ]
     return NetworkSpec(layers)
@@ -839,17 +830,17 @@ def make_denoiser_net(
     nb = basis.size
     c = channels
     layers: list = [
-        Lift(1, c, t, basis, np.zeros((c, 1, nb))),
+        Lift(t, basis, np.zeros((c, 1, nb))),
         Bias(np.zeros(c)),
         ReLU(),
-        GroupConv(c, c, basis, np.zeros((c, c, t, nb))),
+        GroupConv(basis, np.zeros((c, c, t, nb))),
         Bias(np.zeros(c)),
         ReLU(),
-        GroupConv(c, c, basis, np.zeros((c, c, t, nb))),
+        GroupConv(basis, np.zeros((c, c, t, nb))),
         ResidualAdd(skip=2),
         Bias(np.zeros(c)),
         ReLU(),
-        GroupConv(c, 1, basis, np.zeros((1, c, t, nb))),
+        GroupConv(basis, np.zeros((1, c, t, nb))),
         OrientationPool(),
     ]
     net = init_network(NetworkSpec(layers), seed)

@@ -6,6 +6,7 @@ then the f64 little-endian payload in row-major order.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -34,7 +35,7 @@ def read_eqt1(path) -> np.ndarray:
     if len(blob) < head_end:
         raise ValueError(f"{path}: truncated EQT1 dims")
     dims = struct.unpack_from(f"<{rank}I", blob, 8)
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)
     payload = blob[head_end:]
     if len(payload) != 8 * count:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {8 * count}")

@@ -528,7 +528,7 @@ def refinement_errors(p_list=(5, 9, 17), image_count: int = 3, base_size: int = 
         h = base_mesh / scale
         size = base_size * scale
         images = [sample_field(f, size, size, h) for f in fields]
-        net = NetworkSpec([Lift(1, channels, t, FourierBasis(p, cutoff), coeffs), OrientationPool()])
+        net = NetworkSpec([Lift(t, FourierBasis(p, cutoff), coeffs), OrientationPool()])
         report = measure_equivariance(net, images, angles=[2.0 * math.pi / t])
         means.append(report.mean_error)
     return means
@@ -637,10 +637,10 @@ def sample_grad_config(family: str, rng):
         basis = FourierBasis(3, 1)
         net = NetworkSpec(
             [
-                Lift(1, c, 1, basis, 0.5 * rng.standard_normal((c, 1, basis.size))),
+                Lift(1, basis, 0.5 * rng.standard_normal((c, 1, basis.size))),
                 Bias(0.1 * rng.standard_normal(c)),
                 ReLU(),
-                GroupConv(c, 1, basis, 0.5 * rng.standard_normal((1, c, 1, basis.size))),
+                GroupConv(basis, 0.5 * rng.standard_normal((1, c, 1, basis.size))),
                 OrientationPool(),
             ]
         )
@@ -650,7 +650,7 @@ def sample_grad_config(family: str, rng):
         c = int(rng.integers(1, 4))
         p, cutoff = (3, 1) if rng.random() < 0.5 else (5, 2)
         basis = FourierBasis(p, cutoff)
-        net = NetworkSpec([Lift(1, c, t, basis, 0.5 * rng.standard_normal((c, 1, basis.size))), OrientationPool()])
+        net = NetworkSpec([Lift(t, basis, 0.5 * rng.standard_normal((c, 1, basis.size))), OrientationPool()])
         out_shape = (size, size, c)
     elif family == "group_conv":
         t = int(rng.choice([1, 2, 3, 4]))
@@ -658,10 +658,10 @@ def sample_grad_config(family: str, rng):
         basis = FourierBasis(3, 1)
         net = NetworkSpec(
             [
-                Lift(1, c, t, basis, 0.5 * rng.standard_normal((c, 1, basis.size))),
+                Lift(t, basis, 0.5 * rng.standard_normal((c, 1, basis.size))),
                 Bias(0.1 * rng.standard_normal(c)),
                 ReLU(),
-                GroupConv(c, c, basis, 0.5 * rng.standard_normal((c, c, t, basis.size))),
+                GroupConv(basis, 0.5 * rng.standard_normal((c, c, t, basis.size))),
                 OrientationPool(),
             ]
         )

@@ -52,7 +52,7 @@ def bound_inputs(**fields):
 
 # (id, the name the message starts with, a call that passes the value to that argument)
 INTEGER_ARGUMENTS = [
-    ("Lift.group_order", "group order", lambda v: Lift(1, 1, v, BASIS, np.zeros((1, 1, BASIS.size)))),
+    ("Lift.group_order", "group order", lambda v: Lift(v, BASIS, np.zeros((1, 1, BASIS.size)))),
     ("BoundInputs.slices", "slice count", lambda v: bound_inputs(layers=((v, ONES),))),
     ("BoundInputs.p", "filter size", lambda v: bound_inputs(p=v)),
     ("BoundInputs.t", "group order", lambda v: bound_inputs(t=v)),
@@ -69,6 +69,7 @@ INTEGER_ARGUMENTS = [
     ("make_denoiser_net.channels", "channels", lambda v: make_denoiser_net(channels=v)),
     ("make_sweep_net.channels", "channels", lambda v: make_sweep_net(4, channels=v)),
     ("make_audit_net.channels", "channels", lambda v: make_audit_net(4, channels=v)),
+    ("make_audit_net.n_conv", "n_conv", lambda v: make_audit_net(4, n_conv=v)),
     (
         "measure_equivariance.angles",
         "angles",
@@ -92,6 +93,11 @@ REAL_ARGUMENTS = [
     ("Adam.lr", "lr", Adam),
     ("tv_prox.weight", "weight", lambda v: tv_prox(IMAGE, v)),
     ("rotate_image.theta", "rotation angle", lambda v: rotate_image(IMAGE, v)),
+    (
+        "measure_equivariance.listed_angle",
+        "angles",
+        lambda v: measure_equivariance(make_audit_net(1, channels=1, n_conv=1), [IMAGE], angles=[0.5, v]),
+    ),
 ]
 
 NOT_INTEGERS = {"bool": True, "float": 2.0, "nan": math.nan, "inf": math.inf}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from rotprox import (
     rotate_image,
     theorem1_bound,
 )
+from rotprox import audit
 from rotprox.synthetic import synthetic_image
 
 
@@ -188,7 +190,10 @@ class TestMeasureEquivariance:
             measure_equivariance(net, [], angles=[np.pi / 2])
 
     @pytest.mark.parametrize(
-        "angles", [0, -1, [], True, 2.5], ids=["zero", "negative", "empty-list", "bool", "fraction"]
+        "angles",
+        [0, -1, [], True, 2.5, [True], ["0.5"], [[0.1, 0.2]], [0.5, math.nan]],
+        ids=["zero", "negative", "empty-list", "bool", "fraction", "listed-bool", "listed-string", "nested-list",
+             "listed-nan"],
     )
     def test_empty_angle_set_rejected_before_any_forward(self, monkeypatch, angles):
         net = make_audit_net(4, seed=81)
@@ -206,7 +211,25 @@ class TestMeasureEquivariance:
             bound_inputs_for(net, imgs)
 
 
+class TestReportFields:
+    def test_fields_are_the_errors_bound_and_net_shape(self):
+        assert [f.name for f in dataclasses.fields(EquivarianceReport)] == ["errors", "bound", "t", "p", "N"]
+
+    def test_summaries_follow_the_errors(self):
+        report = EquivarianceReport(errors=((0.1, 0.25), (0.2, 0.5)), bound=0.6, t=4, p=5, N=3)
+        assert (report.mean_error, report.max_error, report.bound_satisfied) == (0.375, 0.5, True)
+        worse = dataclasses.replace(report, errors=((0.1, 0.25), (0.2, 0.75), (0.3, 0.5)))
+        assert (worse.mean_error, worse.max_error, worse.bound_satisfied) == (0.5, 0.75, False)
+        assert dataclasses.replace(report, bound=None).bound_satisfied is None
+
+
 class TestOrderSweep:
+    @pytest.mark.parametrize("t_list", [[], [2.0], [True], [0]], ids=["empty", "float", "bool", "zero"])
+    def test_t_list_checked_by_name_before_any_net(self, monkeypatch, t_list):
+        monkeypatch.setattr(audit, "make_sweep_net", lambda *a, **k: pytest.fail("a net was built"))
+        with pytest.raises(ValueError, match="^t_list"):
+            order_sweep(**sweep_args(t_list=t_list))
+
     def test_paired_comparison_improves_with_order(self):
         reports = order_sweep(**sweep_args(t_list=[1, 4], image_count=1, image_size=32, mesh=1 / 3, angles=4))
         assert [r.t for r in reports] == [1, 4]
@@ -317,10 +340,7 @@ class TestEmit:
     def test_emit_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError, match="no reports"):
             emit_report([], tmp_path / "x.csv")
-        hollow = EquivarianceReport(
-            errors=(), mean_error=0.0, bound=None, bound_satisfied=None,
-            t=1, p=3, N=1,
-        )
+        hollow = EquivarianceReport(errors=(), bound=None, t=1, p=3, N=1)
         with pytest.raises(ValueError, match="empty angle list"):
             emit_report([hollow], tmp_path / "x.csv")
         with pytest.raises(ValueError, match="no rows"):

@@ -101,9 +101,9 @@ class TestRoundtrip:
         rng = np.random.default_rng(96)
         net = NetworkSpec(
             [
-                Lift(np.int64(1), np.int64(2), np.int64(4), basis, rng.standard_normal((2, 1, basis.size))),
+                Lift(np.int64(4), basis, rng.standard_normal((2, 1, basis.size))),
                 ReLU(),
-                GroupConv(np.int64(2), np.int64(1), basis, rng.standard_normal((1, 2, 4, basis.size))),
+                GroupConv(basis, rng.standard_normal((1, 2, 4, basis.size))),
                 OrientationPool(),
             ]
         )
@@ -149,6 +149,16 @@ class TestCorruption:
         bad.write_bytes(with_eqck_header(blob, dict(eqck_header(blob), group_order=True)))
         assert load_checkpoint(tmp_path / "net.eqck").group_order == 1
         with pytest.raises(ValueError, match="group order"):
+            load_checkpoint(bad)
+
+    def test_lift_size_beyond_int64_rejected(self, tmp_path):
+        # 2**40 x 2**40 x 5 coefficients: a 64-bit count wraps to 0 and fits any payload
+        blob = save_checkpoint(_fresh_net(87), tmp_path / "net.eqck").read_bytes()
+        header = eqck_header(blob)
+        header["layers"][0].update(in_channels=2**40, out_channels=2**40)
+        bad = tmp_path / "huge.eqck"
+        bad.write_bytes(with_eqck_header(blob, header))
+        with pytest.raises(ValueError, match="checkpoint payload truncated"):
             load_checkpoint(bad)
 
     def test_single_byte_flip_fails_crc(self, tmp_path):

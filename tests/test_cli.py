@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_child(args, **env):
+    """Run a Python child process with `args`, `src` first on its PYTHONPATH (so a
+    fresh checkout imports rotprox there too) and `env` added to its environment."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env}
+    )
 
 
 def read_psnr(captured_out):
@@ -795,12 +808,7 @@ class TestEntryPoint:
             tmp_path,
             {"seed": 1, "image_size": 12, "sigma": 0.0, "steps": 1, "prox": {"weight": 0.0}},
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "rotprox.cli", "denoise", "--config", cfg,
-             "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-m", "rotprox.cli", "denoise", "--config", cfg, "--out", str(tmp_path / "out")])
         assert proc.returncode == 0
         assert "psnr: inf" in proc.stdout
 
@@ -814,12 +822,7 @@ class TestEntryPoint:
         cfg = write_config(
             tmp_path, {"image_size": 12, "steps": 1, "prox": {"kind": "neural", "checkpoint": str(ckpt)}}
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "rotprox.cli", "denoise", "--config", cfg,
-             "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-m", "rotprox.cli", "denoise", "--config", cfg, "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
@@ -830,12 +833,7 @@ class TestEntryPoint:
             arr *= 1e80
         ckpt = save_checkpoint(net, tmp_path / "huge.eqck")
         cfg = write_config(tmp_path, {"image_size": 16, "prox": {"kind": "neural", "checkpoint": str(ckpt)}})
-        proc = subprocess.run(
-            [sys.executable, "-m", "rotprox.cli", "denoise", "--config", cfg,
-             "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-m", "rotprox.cli", "denoise", "--config", cfg, "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
         assert "solver diverged at step 1" in proc.stderr
         assert "Warning" not in proc.stderr
@@ -844,12 +842,7 @@ class TestEntryPoint:
     @pytest.mark.parametrize("command", ["audit-equivariance", "train"])
     def test_zero_channels_exits_two(self, tmp_path, command):
         cfg = write_config(tmp_path, {"channels": 0})
-        proc = subprocess.run(
-            [sys.executable, "-m", "rotprox.cli", command, "--config", cfg,
-             "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-m", "rotprox.cli", command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
@@ -866,22 +859,13 @@ class TestEntryPoint:
             "sys.argv = ['rotprox'] + sys.argv[1:]; "
             "runpy.run_module('rotprox.cli', run_name='__main__')"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", capped, "sr", "--config", cfg, "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        argv = ["-c", capped, "sr", "--config", cfg, "--out", str(tmp_path / "out")]
+        proc = run_child(argv, OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: scale 65536")
         assert "Traceback" not in proc.stderr
 
     def test_usage_error_exits_two(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rotprox.cli", "denoise", "--config",
-             str(tmp_path / "missing.json")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-m", "rotprox.cli", "denoise", "--config", str(tmp_path / "missing.json")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -217,10 +218,10 @@ class TestConvReversePass:
         rng = np.random.default_rng(t + ci + co + p + h)
         basis = FourierBasis(p, (p - 1) // 2)
         if kind == "lift":
-            layer = Lift(ci, co, t, basis, rng.standard_normal((co, ci, basis.size)))
+            layer = Lift(t, basis, rng.standard_normal((co, ci, basis.size)))
             x = rng.standard_normal((h, w, ci))
         else:
-            layer = GroupConv(ci, co, basis, rng.standard_normal((co, ci, t, basis.size)))
+            layer = GroupConv(basis, rng.standard_normal((co, ci, t, basis.size)))
             x = rng.standard_normal((h, w, t, ci))
         out, saved = layer.record(x, {}, layer.weights())
         g = rng.standard_normal(out.shape)
@@ -367,9 +368,9 @@ class TestPooledBank:
         rng = np.random.default_rng(12)
         chain = NetworkSpec(
             [
-                Lift(1, 2, 4, basis, rng.standard_normal((2, 1, basis.size))),
+                Lift(4, basis, rng.standard_normal((2, 1, basis.size))),
                 ReLU(),
-                GroupConv(2, 3, basis, rng.standard_normal((3, 2, 4, basis.size))),
+                GroupConv(basis, rng.standard_normal((3, 2, 4, basis.size))),
                 Bias(np.ones(3)),
                 OrientationPool(),
             ]
@@ -427,11 +428,53 @@ class TestWeightBankCache:
         assert any(got[idx].tobytes() != before[idx] for idx in before)
 
 
+class TestStoredOnce:
+    """A conv stores its group order (Lift only), basis and coefficients; its channel
+    counts, and a GroupConv's order, are read off the coefficient shape."""
+
+    def test_conv_fields(self):
+        assert [f.name for f in dataclasses.fields(Lift)] == ["group_order", "basis", "coeffs"]
+        assert [f.name for f in dataclasses.fields(GroupConv)] == ["basis", "coeffs"]
+
+    @staticmethod
+    def _check_counts(net):
+        for layer in net.conv_layers:
+            counts = (layer.out_channels, layer.in_channels)
+            assert counts == layer.coeffs.shape[:2]
+            assert all(type(c) is int for c in counts)
+        assert [(l.in_channels, l.out_channels) for l in net.conv_layers] == [(1, 3), (3, 3), (3, 3), (3, 1)]
+        assert [l.group_order for l in net.conv_layers] == [4, 4, 4, 4]
+
+    def test_channel_counts_follow_the_coefficients(self):
+        net = init_network(make_denoiser_net(4, channels=3, p=3, cutoff=1), seed=21)
+        self._check_counts(net)
+        out, tape = forward_with_tape(net, synthetic_image(10, 4))
+        Adam(1e-2).apply(net, chain_grads(net.layers, backward(tape, np.ones_like(out.data))))
+        self._check_counts(net)
+
+
+class TestIdentity:
+    """Layers and networks own arrays and derived state, so they compare and hash by identity."""
+
+    def test_layers_and_networks_compare_by_identity(self):
+        a, b = (make_denoiser_net(4, channels=2, p=3, cutoff=1, seed=0) for _ in range(2))
+        assert {type(l).__name__ for l in a.layers} == {
+            "Lift", "GroupConv", "Bias", "ReLU", "ResidualAdd", "OrientationPool"
+        }
+        for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
+            assert la == la and la != lb
+            assert a.layers.index(la) == i
+            assert la in a.layers and la not in b.layers
+            assert len({la, lb}) == 2 and hash(la) == hash(la)
+        assert a == a and a != b and len({a, b}) == 2
+        assert [a, b].index(b) == 1
+
+
 class TestLiftEquivariance:
     def test_quarter_turn_single_layer(self):
         basis = FourierBasis(5, 2)
         rng = np.random.default_rng(2)
-        layer = Lift(1, 3, 4, basis, rng.standard_normal((3, 1, basis.size)))
+        layer = Lift(4, basis, rng.standard_normal((3, 1, basis.size)))
         x = synthetic_image(16, 0, mesh=1 / 3)
         w = layer.weights()
         lhs = lift_conv(rotate_image(x, np.pi / 2).data, layer, w)
@@ -448,7 +491,7 @@ class TestLiftEquivariance:
     def test_group_conv_layer_equivariant(self):
         basis = FourierBasis(5, 2)
         rng = np.random.default_rng(4)
-        layer = GroupConv(2, 3, basis, rng.standard_normal((3, 2, 4, basis.size)))
+        layer = GroupConv(basis, rng.standard_normal((3, 2, 4, basis.size)))
         f = rng.standard_normal((12, 12, 4, 2))
         w = layer.weights()
         lhs = group_conv(act_on_feature_map(f, np.pi / 2, 1), layer, w)
@@ -476,7 +519,7 @@ class TestLiftEquivariance:
 class TestLayerSemantics:
     def test_orientation_pool_is_fiber_mean(self):
         rng = np.random.default_rng(7)
-        net = NetworkSpec([Lift(2, 2, 4, FourierBasis(3, 1), rng.standard_normal((2, 2, 5))), OrientationPool()])
+        net = NetworkSpec([Lift(4, FourierBasis(3, 1), rng.standard_normal((2, 2, 5))), OrientationPool()])
         x = PlanarImage(rng.standard_normal((5, 5, 2)))
         lifted = lift_conv(x.data, net.layers[0], net.layers[0].weights())
         pooled = forward(net, x)
@@ -540,7 +583,7 @@ class TestNetworkValidation:
         return PlainConv(ci, co, self.basis, np.zeros((co, ci, self.basis.size)))
 
     def lift(self, t=4):
-        return Lift(1, 1, t, self.basis, np.zeros((1, 1, self.basis.size)))
+        return Lift(t, self.basis, np.zeros((1, 1, self.basis.size)))
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
@@ -550,7 +593,7 @@ class TestNetworkValidation:
         # a prox network maps images to images, so a lifted chain ends in a pool
         with pytest.raises(ValueError, match="maps images to images"):
             NetworkSpec([self.lift()])
-        gc = GroupConv(1, 1, self.basis, np.zeros((1, 1, 4, self.basis.size)))
+        gc = GroupConv(self.basis, np.zeros((1, 1, 4, self.basis.size)))
         with pytest.raises(ValueError, match="maps images to images"):
             NetworkSpec([self.lift(), gc])
 
@@ -567,7 +610,7 @@ class TestNetworkValidation:
             self.lift(order)
 
     def test_group_conv_needs_lift(self):
-        gc = GroupConv(1, 1, self.basis, np.zeros((1, 1, 4, self.basis.size)))
+        gc = GroupConv(self.basis, np.zeros((1, 1, 4, self.basis.size)))
         with pytest.raises(ValueError, match="Lift"):
             NetworkSpec([gc, OrientationPool()])
 
@@ -588,7 +631,7 @@ class TestNetworkValidation:
             NetworkSpec([self.conv(co=2), Bias(np.zeros(3))])
 
     def test_group_order_mismatch(self):
-        gc = GroupConv(1, 1, self.basis, np.zeros((1, 1, 4, self.basis.size)))
+        gc = GroupConv(self.basis, np.zeros((1, 1, 4, self.basis.size)))
         with pytest.raises(ValueError, match="order 4 != network order 2"):
             NetworkSpec([self.lift(2), gc, OrientationPool()])
 
@@ -608,15 +651,24 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="unknown layer"):
             NetworkSpec([object()])
 
-    @pytest.mark.parametrize("ci, co", [(0, 2), (2, 0), (0, 0), (True, 2), (2, True), (2.0, 2), (2, 2.0)])
+    @pytest.mark.parametrize("ci, co", [(0, 2), (2, 0), (0, 0)])
     def test_conv_needs_a_channel_each_way(self, ci, co):
-        # a bool or a float once built a net whose EQCK header load rejected
-        match = "at least 1" if type(ci) is type(co) is int else "_channels must be an integer"
         basis = FourierBasis(3, 1)
-        with pytest.raises(ValueError, match=match):
-            Lift(ci, co, 4, basis, np.zeros((int(co), int(ci), basis.size)))
-        with pytest.raises(ValueError, match=match):
-            GroupConv(ci, co, basis, np.zeros((int(co), int(ci), 4, basis.size)))
+        with pytest.raises(ValueError, match="each >= 1"):
+            Lift(4, basis, np.zeros((co, ci, basis.size)))
+        with pytest.raises(ValueError, match="each >= 1"):
+            GroupConv(basis, np.zeros((co, ci, 4, basis.size)))
+
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [("lift", (2, 1)), ("lift", (2, 1, 4, 5)), ("lift", (2, 1, 6)), ("group_conv", (2, 1, 0, 5)),
+         ("group_conv", (2, 1, 5)), ("group_conv", (2, 1, 4, 6))],
+        ids=["lift-2d", "lift-4d", "lift-basis", "group-conv-no-orientation", "group-conv-3d", "group-conv-basis"],
+    )
+    def test_conv_rejects_a_coefficient_shape_it_cannot_read(self, kind, shape):
+        basis = FourierBasis(3, 1)  # size 5
+        with pytest.raises(ValueError, match=r"coeffs shape .* each >= 1, the last of basis size 5"):
+            Lift(4, basis, np.zeros(shape)) if kind == "lift" else GroupConv(basis, np.zeros(shape))
 
     def test_channel_mismatch_between_convs(self):
         with pytest.raises(ValueError, match="channels"):

@@ -555,9 +555,9 @@ def _two_channel_net() -> NetworkSpec:
     """An initialised lift/group-conv net on 2-channel images; the factory nets take 1."""
     basis = FourierBasis(5, 2)
     layers = [
-        Lift(2, 2, 4, basis, np.zeros((2, 2, basis.size))),
+        Lift(4, basis, np.zeros((2, 2, basis.size))),
         ReLU(),
-        GroupConv(2, 2, basis, np.zeros((2, 2, 4, basis.size))),
+        GroupConv(basis, np.zeros((2, 2, 4, basis.size))),
         OrientationPool(),
     ]
     return init_network(NetworkSpec(layers), 0)

@@ -45,6 +45,13 @@ class TestEqt1:
         with pytest.raises(ValueError, match="payload"):
             read_eqt1(path)
 
+    def test_element_count_beyond_int64_rejected(self, tmp_path):
+        # 65536**4 = 2**64 elements: a 64-bit count wraps to 0 and matches the empty payload
+        path = tmp_path / "t.eqt1"
+        path.write_bytes(b"EQT1" + struct.pack("<5I", 4, 65536, 65536, 65536, 65536))
+        with pytest.raises(ValueError, match=f"payload holds 0 bytes, expected {8 * 2**64}"):
+            read_eqt1(path)
+
     def test_truncated_dims_rejected(self, tmp_path):
         path = tmp_path / "t.eqt1"
         path.write_bytes(b"EQT1" + struct.pack("<I", 3) + struct.pack("<I", 2))

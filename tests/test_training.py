@@ -126,7 +126,7 @@ class TestLossAndVjps:
 class TestOptimizers:
     def _one_conv_net(self, value=1.0):
         basis = FourierBasis(3, 1)
-        return NetworkSpec([Lift(1, 1, 1, basis, np.full((1, 1, basis.size), value)), OrientationPool()])
+        return NetworkSpec([Lift(1, basis, np.full((1, 1, basis.size), value)), OrientationPool()])
 
     def test_sgd_step(self):
         net = self._one_conv_net()
