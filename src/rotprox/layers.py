@@ -8,7 +8,7 @@ returns to the planar domain. All convolutions are stride-1 correlations with
 zero padding (SAME size); equivariance metrics crop the receptive ring.
 
 Each layer kind is one class that carries all of its rules; the chain check,
-forward pass, taped forward, reverse pass, parameter list, init and EQCK
+forward pass (taped or not), reverse pass, parameter list, init and EQCK
 serialization are plain loops over these methods:
 
 - ``check(states, t, last)``: the chain state ("planar"|"group", channels)
@@ -17,12 +17,11 @@ serialization are plain loops over these methods:
 - ``reads``: the indices of earlier layers whose outputs this layer reads
   (default none); a pass keeps a layer's output beyond the next layer only
   when some layer lists it here.
-- ``forward(value, activations)``: the layer output, given its input and the
-  kept outputs of earlier layers (``activations[i]`` for each i in ``reads``).
-  A convolution also takes its weight bank as a third argument.
-- ``record(value, activations)``: ``(output, saved)``, where ``saved`` holds
-  exactly what ``grads`` and ``backward`` need; a convolution takes its weight
-  bank as ``forward`` does.
+- ``forward(value, activations)``: ``(output, saved)``, given the layer input
+  and the kept outputs of earlier layers (``activations[i]`` for each i in
+  ``reads``); ``saved`` holds exactly what ``grads`` and ``backward`` need (a
+  conv's input and bank, a ReLU's output, the pooled orientation count, else
+  None). A convolution also takes its weight bank as a third argument.
 - ``grads(g, saved)``: ``{param name: local gradient}`` given the output
   gradient (default none). The local gradient is linear in ``g``; for a
   convolution it is the gradient w.r.t. its weight bank (the taps), for a bias
@@ -52,10 +51,11 @@ for non-finite entries, and wraps the final output.
 Convolutions also carry ``basis``, ``coeffs``, ``fan_in`` and ``weights()``;
 their channel counts are the shape of ``coeffs``.
 A weight bank is a function of the coefficients alone, so a net builds its
-banks on first use and again after any coefficient change (``weight_banks``);
-every pass takes them from there. A bank is the conv's (n*Cin, p, p, t*Cout)
-``weights()``, except that the conv the final ``OrientationPool`` reads gets
-the (n*Cin, p, p, Cout) mean of its t output-orientation blocks.
+banks on first use and again after any coefficient change (``weight_banks``),
+when it also checks its chain again; every pass takes them from there. A bank
+is the conv's (n*Cin, p, p, t*Cout) ``weights()``, except that the conv the
+final ``OrientationPool`` reads gets the (n*Cin, p, p, Cout) mean of its t
+output-orientation blocks.
 """
 
 from __future__ import annotations
@@ -280,9 +280,6 @@ class Layer:
     def init(self, rng: np.random.Generator) -> None:
         pass
 
-    def record(self, value, activations):
-        return self.forward(value, activations), None
-
     def grads(self, g, saved) -> dict[str, np.ndarray]:
         return {}
 
@@ -346,7 +343,17 @@ class _Conv(Layer):
             out[:, :, :, o_out * co : (o_out + 1) * co] = block
         return out
 
-    def coeff_grad(self, dw: np.ndarray) -> np.ndarray:
+    def forward(self, value, activations, bank):
+        # looked up at call time: a span tracer patches these module globals
+        conv = lift_conv if isinstance(self, Lift) else group_conv
+        return conv(value, self, bank), (value, bank)
+
+    def grads(self, g, saved):
+        x, _ = saved
+        flat = x.reshape(*x.shape[:2], -1)
+        return {"coeffs": _conv_backward_weights(flat, g.reshape(*g.shape[:2], -1), self.basis.filter_size)}
+
+    def chain(self, name, dw):
         """Chain tap gradients through the sampled basis onto Fourier coefficients.
 
         `dw` is the gradient w.r.t. either bank ``weight_banks`` builds: the full
@@ -367,22 +374,11 @@ class _Conv(Layer):
             grad[:, :, (offsets - o_out) % n, :] += dsel
         return grad.reshape(self.coeffs.shape)
 
-    def record(self, value, activations, weights):
-        flat = value.reshape(*value.shape[:2], -1)
-        return self.forward(value, activations, weights), (flat, weights, value.shape)
-
-    def grads(self, g, saved):
-        x, _, _ = saved
-        return {"coeffs": _conv_backward_weights(x, g.reshape(*g.shape[:2], -1), self.basis.filter_size)}
-
-    def chain(self, name, local):
-        return self.coeff_grad(local)
-
     def backward(self, g, saved, pending):
         # the adjoint of a correlation is the correlation with the flipped, transposed bank
-        _, w, in_shape = saved
+        x, w = saved
         flat = g.reshape(*g.shape[:2], -1)
-        return correlate_stack(flat, w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)).reshape(in_shape)
+        return correlate_stack(flat, w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)).reshape(x.shape)
 
     def to_header(self) -> dict:
         return {
@@ -426,9 +422,6 @@ class Lift(_Conv):
             raise ValueError(f"Lift expects {self.in_channels} channels, chain has {c}")
         return ("group", self.out_channels)
 
-    def forward(self, value, activations, weights):
-        return lift_conv(value, self, weights)
-
     @classmethod
     def from_header(cls, spec, payload, offset):
         ci, co, t, basis = cls._header_fields(spec)
@@ -468,9 +461,6 @@ class GroupConv(_Conv):
         if self.group_order != t:
             raise ValueError(f"GroupConv group order {self.group_order} != network order {t}")
         return ("group", self.out_channels)
-
-    def forward(self, value, activations, weights):
-        return group_conv(value, self, weights)
 
     @classmethod
     def from_header(cls, spec, payload, offset):
@@ -514,7 +504,7 @@ class Bias(Layer):
         # one add over the (H, W, t*C) view, the values tiled over the fiber: a
         # broadcast over a group map's short C axis is about 3x slower
         flat = value.reshape(*value.shape[:2], -1)
-        return (flat + np.tile(self.values, flat.shape[2] // self.channels)).reshape(value.shape)
+        return (flat + np.tile(self.values, flat.shape[2] // self.channels)).reshape(value.shape), None
 
     def grads(self, g, saved):
         return {"values": g.sum(axis=tuple(range(g.ndim - 1)))}
@@ -541,13 +531,12 @@ class ReLU(Layer):
         return states[-1]
 
     def forward(self, value, activations):
-        return np.maximum(value, 0.0)
-
-    def record(self, value, activations):
-        return self.forward(value, activations), value > 0.0
+        out = np.maximum(value, 0.0)
+        return out, out
 
     def backward(self, g, saved, pending):
-        return g * saved
+        # the output is positive exactly where the input is
+        return g * (saved > 0.0)
 
 
 @dataclass(eq=False)
@@ -571,7 +560,7 @@ class ResidualAdd(Layer):
         return state
 
     def forward(self, value, activations):
-        return value + activations[self.skip]
+        return value + activations[self.skip], None
 
     def backward(self, g, saved, pending):
         pending[self.skip] = pending.get(self.skip, 0.0) + g
@@ -600,10 +589,7 @@ class OrientationPool(Layer):
         return ("planar", c)
 
     def forward(self, value, activations):
-        return value.mean(axis=2)
-
-    def record(self, value, activations):
-        return self.forward(value, activations), value.shape[2]
+        return value.mean(axis=2), value.shape[2]
 
     def backward(self, g, saved, pending):
         t = saved
@@ -620,8 +606,8 @@ class NetworkSpec:
     layers: list
 
     def __post_init__(self):
-        self._states = _validate_chain(self.layers, self.group_order)
-        self._banks = (None, {})  # (coefficient bytes, banks); see weight_banks
+        _validate_chain(self.layers, self.group_order)
+        self._banks = (None, {})  # (coefficient shapes and bytes, banks); see weight_banks
 
     @property
     def group_order(self) -> int:
@@ -638,15 +624,17 @@ class NetworkSpec:
 
     @property
     def out_channels(self) -> int:
-        return self._states[-1][1]
+        # only a conv changes the channel count
+        return self.conv_layers[-1].out_channels
 
     def read_outputs(self) -> frozenset[int]:
         """Indices of the layers whose outputs a later layer reads."""
         return frozenset(i for layer in self.layers for i in layer.reads)
 
 
-def _validate_chain(layers, t: int) -> list[tuple[str, int]]:
-    """Chain states: the network input (channels fixed by the first conv), then one per layer."""
+def _validate_chain(layers, t: int) -> None:
+    """Check the chain states, the network input's (channels fixed by the first conv) and then
+    each layer's; a ValueError names the first layer that breaks the chain."""
     if not layers:
         raise ValueError("a network needs at least one layer")
     states = [("planar", None)]
@@ -659,7 +647,6 @@ def _validate_chain(layers, t: int) -> list[tuple[str, int]]:
             raise ValueError(f"layer {idx}: {exc}") from None
     if states[-1][0] != "planar":
         raise ValueError("a network maps images to images: end a group chain with an OrientationPool")
-    return states
 
 
 def lift_conv(x: np.ndarray, layer: Lift, weights: np.ndarray) -> np.ndarray:
@@ -682,14 +669,17 @@ def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
     output-orientation blocks, (n*Cin, p, p, Cout). The pool is linear and every
     block reads the same input, so mean_o(x * W_o) = x * mean_o(W_o); that conv
     computes Cout channels instead of t*Cout, and the pool averages a fiber of
-    one. The net keeps the banks, read-only, with the bytes of the coefficients
-    they were built from, and builds new ones when any of those bytes differ:
-    after an optimizer step, ``init_network`` or an assignment to ``coeffs``.
+    one. The net keeps the banks, read-only, with the shapes and bytes of the
+    coefficients they were built from, and builds new ones when any of those
+    differ: after an optimizer step, ``init_network`` or an assignment to
+    ``coeffs``. It checks the chain again first, so an assignment that breaks it
+    raises a ValueError naming the layer.
     """
     convs = [(idx, layer) for idx, layer in enumerate(net.layers) if isinstance(layer, _Conv)]
-    key = tuple(layer.coeffs.tobytes() for _, layer in convs)
+    key = tuple((layer.coeffs.shape, layer.coeffs.tobytes()) for _, layer in convs)
     if net._banks[0] == key:
         return net._banks[1]
+    _validate_chain(net.layers, net.group_order)
     last = len(net.layers) - 1
     banks = {}
     for idx, layer in convs:
@@ -704,7 +694,8 @@ def weight_banks(net: NetworkSpec) -> dict[int, np.ndarray]:
 
 def _pass(net: NetworkSpec, x: PlanarImage, entries: list | None = None):
     """The layer loop of ``forward`` and ``training.forward_with_tape``: with an
-    `entries` list, each layer records instead and appends (layer, saved).
+    `entries` list, each layer's (layer, saved) is appended to it; without one,
+    each ``saved`` is dropped before the next layer runs.
 
     Layers see bare arrays; a layer output with a NaN or an infinite entry
     raises NonFiniteError naming the layer, and the final output is wrapped
@@ -717,16 +708,14 @@ def _pass(net: NetworkSpec, x: PlanarImage, entries: list | None = None):
     activations = {}
     banks = weight_banks(net)
     for idx, layer in enumerate(net.layers):
-        args = (value, activations, *([banks[idx]] if idx in banks else []))
-        if entries is None:
-            value = layer.forward(*args)
-        else:
-            value, saved = layer.record(*args)
+        value, saved = layer.forward(value, activations, *([banks[idx]] if idx in banks else []))
+        if entries is not None:
             entries.append((layer, saved))
         if not np.isfinite(value).all():
             raise NonFiniteError(f"layer {idx} ({layer.kind}) output contains non-finite entries")
         if idx in keep:
             activations[idx] = value
+        del saved  # an untaped pass holds no layer's input into the next layer
     return PlanarImage(value, mesh=x.mesh)
 
 

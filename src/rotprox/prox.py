@@ -170,7 +170,11 @@ def _tv_prox_plane(f: np.ndarray, w: float, tol: float, max_iter: int):
 def neural_prox(x: PlanarImage, net: NetworkSpec) -> PlanarImage:
     """Identity plus learned correction: x + forward(net, x)."""
     if net.out_channels != x.channels:
-        raise ValueError("proximal network must map the image space to itself")
+        last = net.layers.index(net.conv_layers[-1])
+        raise ValueError(
+            f"proximal network must map the image space to itself: layer {last} outputs "
+            f"{net.out_channels} channels, the image has {x.channels}"
+        )
     correction = forward(net, x)
     return PlanarImage(x.data + correction.data, mesh=x.mesh)
 

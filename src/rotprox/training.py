@@ -1,14 +1,15 @@
 """Reverse-mode differentiation over the layer op set, plus a small full-batch trainer.
 
-A forward pass records a Tape: each layer's `record` saves exactly the arrays
-its `grads` and `backward` need (conv inputs and weight banks, ReLU masks, the
-pooled orientation count). The reverse pass carries the input gradient down
-to the first layer and no further, since no caller reads the gradient w.r.t.
-the network input. Parameter gradients come in two steps: `backward` returns
-local gradients (a conv's tap gradient, the gradient w.r.t. its weight bank),
-then `chain_grads` carries each conv's taps through the fixed basis-sampling
-matrix onto its Fourier coefficients; equivariance is a property of the
-parametrization and survives any number of updates.
+A taped forward pass runs the same layer loop as `forward` and keeps what each
+layer's `forward` saves, exactly the arrays its `grads` and `backward` need
+(conv inputs and weight banks, ReLU outputs, the pooled orientation count). The
+reverse pass carries the input gradient down to the first layer and no
+further, since no caller reads the gradient w.r.t. the network input.
+Parameter gradients come in two steps: `backward` returns local gradients (a
+conv's tap gradient, the gradient w.r.t. its weight bank), then `chain_grads`
+carries each conv's taps through the fixed basis-sampling matrix onto its
+Fourier coefficients; equivariance is a property of the parametrization and
+survives any number of updates.
 
 The net builds its weight banks on first use and again after any coefficient
 change, so every image of an epoch shares one set; the images still go through

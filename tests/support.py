@@ -104,9 +104,9 @@ class PlainConv:
     """Ordinary (non-equivariant) planar convolution, as an oracle for t=1 nets.
 
     It implements the forward half of the layer protocol (check, reads,
-    forward, params, init) plus what a first layer needs of the reverse half
-    (record, grads, chain; its grads are already coefficient gradients), and
-    shares no convolution code with the library: the taps
+    forward, params, init; forward saves its input) plus what a first layer
+    needs of the reverse half (grads, chain; its grads are already coefficient
+    gradients), and shares no convolution code with the library: the taps
     coeffs . basis_stack(basis, 0) are correlated channel pair by channel pair
     with scipy.signal, zero padding, SAME size.
     """
@@ -143,10 +143,7 @@ class PlainConv:
         for o in range(self.out_channels):
             for i in range(self.in_channels):
                 out[:, :, o] += scipy.signal.correlate2d(value[:, :, i], taps[o, i], mode="same")
-        return out
-
-    def record(self, value, activations):
-        return self.forward(value, activations), value
+        return out, value
 
     def grads(self, g, saved):
         m = self.basis.filter_size // 2
@@ -706,6 +703,6 @@ def min_relu_gap(net, x: PlanarImage) -> float:
     for idx, layer in enumerate(net.layers):
         if isinstance(layer, ReLU):
             gap = min(gap, float(np.min(np.abs(value))))
-        value = layer.forward(value, activations, *([banks[idx]] if idx in banks else []))
+        value, _ = layer.forward(value, activations, *([banks[idx]] if idx in banks else []))
         activations.append(value)
     return gap

@@ -24,6 +24,7 @@ from rotprox import (
     GroupConv,
     Lift,
     NetworkSpec,
+    NeuralProx,
     OrientationPool,
     PlanarImage,
     ReLU,
@@ -223,7 +224,7 @@ class TestConvReversePass:
         else:
             layer = GroupConv(basis, rng.standard_normal((co, ci, t, basis.size)))
             x = rng.standard_normal((h, w, t, ci))
-        out, saved = layer.record(x, {}, layer.weights())
+        out, saved = layer.forward(x, {}, layer.weights())
         g = rng.standard_normal(out.shape)
         fft_calls = []
         fft = layers._correlate_fft
@@ -428,6 +429,37 @@ class TestWeightBankCache:
         assert any(got[idx].tobytes() != before[idx] for idx in before)
 
 
+class TestCoefficientReassignment:
+    """A reassigned ``coeffs`` is checked against the chain on the next pass."""
+
+    @staticmethod
+    def _net():
+        return make_denoiser_net(t=2, channels=2, p=3, cutoff=1)
+
+    def test_output_channels_follow_the_last_conv(self):
+        net = self._net()
+        net.layers[10].coeffs = np.random.default_rng(3).standard_normal((2, 2, 2, 5))
+        assert net.out_channels == 2
+        with pytest.raises(ValueError, match="layer 10 outputs 2 channels, the image has 1"):
+            NeuralProx(net)(synthetic_image(12, 6))
+
+    @pytest.mark.parametrize("tape", [False, True])
+    def test_same_bytes_in_a_new_shape_breaks_the_chain(self, tape):
+        # the bank key holds each shape: the bytes alone would reuse the old bank
+        net, x = self._net(), synthetic_image(12, 7)
+        forward(net, x)
+        net.layers[6].coeffs = net.layers[6].coeffs.reshape(2, 1, 4, 5)
+        with pytest.raises(ValueError, match="^layer 6: GroupConv expects 1 channels, chain has 2"):
+            forward_with_tape(net, x) if tape else forward(net, x)
+
+    def test_a_breaking_change_raises_on_every_pass(self):
+        net, x = self._net(), synthetic_image(12, 8)
+        net.layers[3].coeffs = np.zeros((3, 2, 2, 5))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^layer 4: Bias has 2 values, chain has 3 channels"):
+                forward(net, x)
+
+
 class TestStoredOnce:
     """A conv stores its group order (Lift only), basis and coefficients; its channel
     counts, and a GroupConv's order, are read off the coefficient shape."""
@@ -531,13 +563,24 @@ class TestLayerSemantics:
         values = np.array([10.0, 20.0])
         for shape in [(4, 4, 3, 2), (4, 5, 1, 2), (3, 4, 2)]:
             f = rng.standard_normal(shape)
-            out = Bias(values).forward(f, {})
-            assert out.shape == f.shape
+            out, saved = Bias(values).forward(f, {})
+            assert saved is None and out.shape == f.shape
             np.testing.assert_array_equal(out, f + values)
 
     def test_relu_clamps(self):
-        out = ReLU().forward(np.array([[-1.0, 2.0]]).reshape(1, 2, 1), {})
+        out, saved = ReLU().forward(np.array([[-1.0, 2.0]]).reshape(1, 2, 1), {})
         np.testing.assert_array_equal(out.ravel(), [0.0, 2.0])
+        assert saved is out
+
+    def test_relu_reverse_from_output_matches_input_mask(self):
+        # saving the output instead of a mask of the input changes no gradient
+        # bit, on the kink (0.0 and -0.0) or off it, for either sign of g
+        pre = np.array([0.0, -0.0, -1.5, 2.0, 0.0, -0.0, -1.5, 2.0]).reshape(1, 8, 1)
+        g = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0]).reshape(1, 8, 1)
+        relu = ReLU()
+        _, saved = relu.forward(pre, {})
+        got = relu.backward(g, saved, {})
+        assert got.tobytes() == (g * (pre > 0.0)).tobytes()
 
     def test_forward_wraps_once(self, monkeypatch):
         # layers pass bare arrays: one PlanarImage check per pass, for the

@@ -220,7 +220,7 @@ class TestTrainDenoiser:
         # one coefficient chain per conv, whatever the number of images
         net = init_network(make_denoiser_net(channels=2, p=3, cutoff=1), seed=55)
         builds = count_conv_calls(monkeypatch, "weights")
-        chains = count_conv_calls(monkeypatch, "coeff_grad")
+        chains = count_conv_calls(monkeypatch, "chain")
         train_denoiser(net, self._pairs(n=n), Adam(lr=1e-2), 1)
         convs = [id(layer) for layer in net.conv_layers]
         assert len(convs) == 4
